@@ -55,7 +55,7 @@ from .simulators import (
     make_model,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AcqKind",

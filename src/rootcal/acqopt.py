@@ -16,16 +16,17 @@ from .core import ParameterBox, RngStream
 
 __all__ = ["OptimizerConfig", "OptimizationError", "optimize"]
 
+INITIAL_STEP = 1.0
+SHRINK = 0.5  # line-search step factor
+SUFFICIENT_DECREASE = 1e-4  # Armijo constant
+CONVERGENCE_TOL = 1e-8  # on the projected gradient norm
+MEMORY = 5  # L-BFGS history length
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     starts: int = 10
     iters: int = 10
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    convergence_tol: float = 1e-8
-    memory: int = 5
 
     def __post_init__(self):
         if self.starts < 1 or self.iters < 1:
@@ -65,37 +66,37 @@ def _lbfgs_direction(grad, s_hist, y_hist):
     return -q
 
 
-def _local_search(f, x0, lower, upper, cfg: OptimizerConfig):
+def _local_search(f, x0, lower, upper, iters: int):
     x = np.clip(x0, lower, upper)
     val, grad = f(x)
     if not np.isfinite(val):
         return x, val
     s_hist, y_hist = [], []
-    for _ in range(cfg.iters):
+    for _ in range(iters):
         if grad is None:
             break
         proj_grad = np.clip(x - grad, lower, upper) - x
-        if np.linalg.norm(proj_grad) < cfg.convergence_tol:
+        if np.linalg.norm(proj_grad) < CONVERGENCE_TOL:
             break
         d = _lbfgs_direction(grad, s_hist, y_hist)
         if float(d @ grad) >= 0:
             d = -grad
-        step = cfg.initial_step
+        step = INITIAL_STEP
         accepted = False
         while step > 1e-12:
             x_new = np.clip(x + step * d, lower, upper)
             val_new, grad_new = f(x_new)
-            decrease = cfg.sufficient_decrease * float(grad @ (x_new - x))
+            decrease = SUFFICIENT_DECREASE * float(grad @ (x_new - x))
             if np.isfinite(val_new) and val_new <= val + decrease:
                 accepted = True
                 break
-            step *= cfg.shrink
+            step *= SHRINK
         if not accepted:
             break
         if grad_new is not None:
             s_hist.append(x_new - x)
             y_hist.append(grad_new - grad)
-            if len(s_hist) > cfg.memory:
+            if len(s_hist) > MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         x, val, grad = x_new, val_new, grad_new
@@ -122,7 +123,7 @@ def optimize(objective, box: ParameterBox, cfg: OptimizerConfig, rng: RngStream,
     best_x, best_val = None, np.inf
     for _ in range(cfg.starts):
         x0 = box.lower + gen.random(box.dim) * box.width
-        x, val = _local_search(f, x0, box.lower, box.upper, cfg)
+        x, val = _local_search(f, x0, box.lower, box.upper, cfg.iters)
         if np.isfinite(val) and (
             val < best_val
             or (val == best_val and best_x is not None and tuple(x) < tuple(best_x))

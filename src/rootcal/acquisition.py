@@ -80,19 +80,18 @@ def _Phi(z):
     return ndtr(z)
 
 
-def select_incumbent(model: GpModel, mode: Mode, stochastic: bool,
-                     observed: np.ndarray | None = None) -> Incumbent:
+def select_incumbent(model: GpModel, mode: Mode, stochastic: bool) -> Incumbent:
     """Current best value the improvement-based acquisitions compare against.
 
-    Deterministic mode ranks raw observed values (`observed` defaults to the
-    model targets); stochastic mode ranks posterior quantities at the design
+    Deterministic mode ranks the model targets, by |value| for ROOT;
+    stochastic mode ranks posterior quantities at the design
     points: the predictive mean for MIN, mu^2 + sigma^2 for ROOT.  Ties break
     toward the lowest index.
     """
     if model.size < 1:
         raise ValueError("empty design")
     if not stochastic:
-        vals = model.targets if observed is None else np.asarray(observed, dtype=float)
+        vals = model.targets
         if mode is Mode.MIN:
             idx = int(np.argmin(vals))
         else:

@@ -271,7 +271,7 @@ def cmd_diagnose(problem: str, theta, reps: int, seed: int,
         raise ConfigError(f"theta must have {sim.box.dim} component(s)")
     if not sim.box.contains(theta):
         raise ConfigError("theta outside the parameter box")
-    samples = [sim.draw(theta, base.child(1, j)) for j in range(reps)]
+    samples = [sim.draw(theta, base.child(1, j).generator()) for j in range(reps)]
     report = chain_check(samples)
     print(json.dumps({
         "problem": problem,

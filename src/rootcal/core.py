@@ -64,10 +64,13 @@ class ParameterBox:
 class RngStream:
     """Hierarchically splittable RNG handle.
 
-    Identical (seed, key) pairs produce bitwise-identical draw sequences;
-    distinct keys produce statistically independent streams.  Streams are
-    split with :meth:`child` rather than shared, so concurrent workers never
-    contend for generator state.
+    Identical (seed, key) pairs produce bitwise-identical draw sequences.
+    Distinct keys are not always distinct streams: ``(seed, *key)`` is the
+    ``SeedSequence`` entropy, which numpy zero-pads, so keys that differ only
+    by trailing zeros alias (``RngStream(0)``, ``.child(0)`` and
+    ``.child(0).child(0)`` draw the same numbers, as do keys ``(1,)`` and
+    ``(1, 0)``).  Streams are split with :meth:`child` rather than shared, so
+    concurrent workers never contend for generator state.
     """
 
     seed: int

@@ -16,7 +16,7 @@ from .acquisition import (
     acq_value,
 )
 from .core import ParameterBox, RngStream, aggregate_signed
-from .metamodel import DegenerateStdError, make_model, posterior, posterior_grad
+from .metamodel import DegenerateStdError, model_at, posterior, posterior_grad
 
 __all__ = [
     "GapReport",
@@ -97,7 +97,7 @@ def _random_case(gen):
         design = gen.random((n, dim))
         targets = gen.normal(0.0, 1.0, n)
         noise = gen.uniform(0.0, 0.05, n)
-        model = make_model(box, design, targets, noise, lengthscale)
+        model = model_at(box, design, targets, noise, lengthscale)
         for _ in range(50):
             theta = gen.random(dim)
             post = posterior(model, theta)

@@ -9,7 +9,7 @@ method comparisons are paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -18,14 +18,21 @@ from . import rss as rss_mod
 from .acqopt import OptimizerConfig, optimize
 from .acquisition import (
     AcqKind,
+    Incumbent,
     Mode,
     acq_gradient,
     acq_value,
+    ei,
+    lcb,
+    pi,
+    rf_ei,
+    rf_lcb,
+    rf_pi,
     select_incumbent,
 )
 from .core import ObservationSummary, ParameterBox, RngStream, aggregate_squared, summarize
 from .metamodel import DegenerateStdError, GpModel, fit, posterior, posterior_grad
-from .simulators import SimulationModel
+from .simulators import RootlessQuadratic, SimulationModel, make_model
 
 __all__ = [
     "RunConfig",
@@ -59,7 +66,6 @@ class RunConfig:
     theta_floor: float = 1e-8
     post_reps: int = 1000
     seed: int = 0
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
         if self.p_init < 2:
@@ -114,7 +120,7 @@ def evaluate_point(model: SimulationModel, theta, reps: int,
     """Draw `reps` independent residual samples at theta and summarize them."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    samples = [model.draw(theta, rng.child(j)) for j in range(reps)]
+    samples = [model.draw(theta, rng.child(j).generator()) for j in range(reps)]
     return summarize(theta, samples)
 
 
@@ -130,7 +136,9 @@ def post_evaluate(model: SimulationModel, theta, post_reps: int,
     return float(vals.mean()), ci_half
 
 
-def _fit_surrogate(box: ParameterBox, summaries, config: RunConfig) -> GpModel:
+def _fit_surrogate(box: ParameterBox, summaries,
+                   config: RunConfig) -> tuple[GpModel, Incumbent]:
+    """Fit the surrogate to the mode's targets and take its incumbent once."""
     design = np.array([s.theta for s in summaries])
     if config.objective_mode is Mode.ROOT:
         targets = np.array([s.signed_mean for s in summaries])
@@ -140,18 +148,8 @@ def _fit_surrogate(box: ParameterBox, summaries, config: RunConfig) -> GpModel:
         noise = np.array([s.squared_noise_var for s in summaries])
     if not config.stochastic:
         noise = np.zeros_like(noise)
-    return fit(box, design, targets, noise)
-
-
-def _recommend(model: GpModel, summaries, config: RunConfig) -> np.ndarray:
-    if not config.stochastic:
-        if config.objective_mode is Mode.ROOT:
-            idx = int(np.argmin([abs(s.signed_mean) for s in summaries]))
-        else:
-            idx = int(np.argmin([s.squared_mean for s in summaries]))
-        return summaries[idx].theta
-    inc = select_incumbent(model, config.objective_mode, stochastic=True)
-    return summaries[inc.index].theta
+    model = fit(box, design, targets, noise)
+    return model, select_incumbent(model, config.objective_mode, config.stochastic)
 
 
 def _active_box(model: GpModel, summaries, config: RunConfig,
@@ -174,19 +172,8 @@ def _active_box(model: GpModel, summaries, config: RunConfig,
     return ParameterBox(lo, hi)
 
 
-def _observed_for_incumbent(summaries, config: RunConfig) -> np.ndarray:
-    if config.objective_mode is Mode.ROOT:
-        return np.array([s.signed_mean for s in summaries])
-    return np.array([s.squared_mean for s in summaries])
-
-
-def _next_point(model: GpModel, summaries, config: RunConfig,
+def _next_point(model: GpModel, inc: Incumbent, config: RunConfig,
                 active: ParameterBox, rng: RngStream):
-    inc = select_incumbent(
-        model, config.objective_mode, config.stochastic,
-        observed=None if config.stochastic else _observed_for_incumbent(summaries, config),
-    )
-
     def objective(theta):
         post = posterior(model, theta)
         value = acq_value(config.acq, post, inc)
@@ -196,7 +183,7 @@ def _next_point(model: GpModel, summaries, config: RunConfig,
             grad = None
         return value, grad
 
-    theta = optimize(objective, active, config.optimizer, rng,
+    theta = optimize(objective, active, OptimizerConfig(), rng,
                      maximize=config.acq.maximize)
     value = acq_value(config.acq, posterior(model, theta), inc)
     return theta, value
@@ -215,21 +202,20 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
         )
 
     records = []
-    model = _fit_surrogate(box, summaries, config)
-    rec = _recommend(model, summaries, config)
+    model, inc = _fit_surrogate(box, summaries, config)
+    rec = summaries[inc.index].theta
     post_mean, ci = post_evaluate(sim, rec, config.post_reps, base.child(_POST, 0))
     records.append(IterationRecord(0, None, None, model.params.lengthscale,
                                    np.nan, box.lower, box.upper, rec, post_mean, ci))
 
     for t in range(1, config.budget + 1):
         active = _active_box(model, summaries, config, box)
-        theta, value = _next_point(model, summaries, config, active,
-                                   base.child(_ACQ, t))
+        theta, value = _next_point(model, inc, config, active, base.child(_ACQ, t))
         summary = evaluate_point(sim, theta, config.reps_per_point,
                                  base.child(_SIM, config.p_init + t - 1))
         summaries.append(summary)
-        model = _fit_surrogate(box, summaries, config)
-        rec = _recommend(model, summaries, config)
+        model, inc = _fit_surrogate(box, summaries, config)
+        rec = summaries[inc.index].theta
         post_mean, ci = post_evaluate(sim, rec, config.post_reps,
                                       base.child(_POST, t))
         records.append(IterationRecord(t, theta, summary, model.params.lengthscale,
@@ -252,10 +238,6 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     (it underflows to 0 in linear arithmetic), and the EI gap is measured
     against 2 EI - 2 sigma phi(0).
     """
-    from .acquisition import ei, lcb, pi, rf_ei, rf_lcb, rf_pi, Incumbent
-    from .metamodel import fit as fit_model, posterior
-    from .simulators import RootlessQuadratic
-
     if design_size < 2:
         raise ValueError("design_size must be >= 2")
     sim = RootlessQuadratic(eps=eps)
@@ -267,12 +249,11 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     ]
     targets = np.array([s.signed_mean for s in summaries])
     noise = np.array([s.signed_noise_var for s in summaries])
-    model = fit_model(sim.box, design, targets, noise)
+    model = fit(sim.box, design, targets, noise)
 
     post = posterior(model, [0.0])
-    inc = Incumbent(index=int(np.argmin(np.abs(targets))),
-                    value=float(targets[np.argmin(np.abs(targets))]))
-    v_min = Incumbent(index=int(np.argmin(targets)), value=float(targets.min()))
+    inc = select_incumbent(model, Mode.ROOT, stochastic=False)
+    v_min = select_incumbent(model, Mode.MIN, stochastic=False)
 
     grid = np.linspace(-1.0, 1.0, 201)[:, None]
     mean_positive = all(posterior(model, g).mean > 0.0 for g in grid)
@@ -314,8 +295,6 @@ def rootless_table(eps: float, design_sizes, seed: int, n_seeds: int = 100):
 
 def _run_one(args):
     problem, problem_params, config, stream_id = args
-    from .simulators import make_model
-
     base = RngStream(config.seed).child(stream_id)
     sim = make_model(problem, base.child(_OBS), problem_params)
     try:

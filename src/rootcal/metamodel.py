@@ -76,18 +76,10 @@ class GpModel:
         return self.design.shape[0]
 
 
-def _system_cholesky(unit_design, noise_diag, lengthscale, jitter):
-    """Cholesky of K + Sigma + jitter I, escalating jitter x10 up to 1e-4."""
+def _system(unit_design, noise_diag, lengthscale) -> np.ndarray:
+    """K + Sigma; callers add jitter I to it."""
     K = kernel_matrix(unit_design, unit_design, KernelParams(lengthscale))
-    base = K + np.diag(noise_diag)
-    j = jitter
-    while j <= 1e-4:
-        try:
-            L = np.linalg.cholesky(base + j * np.eye(base.shape[0]))
-            return L, j
-        except np.linalg.LinAlgError:
-            j *= 10.0
-    raise ModelFitError("kernel system not positive definite after jitter escalation")
+    return K + np.diag(noise_diag)
 
 
 def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
@@ -96,8 +88,8 @@ def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
     unit_design = np.asarray(unit_design, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = targets.size
-    K = kernel_matrix(unit_design, unit_design, KernelParams(lengthscale))
-    system = K + np.diag(np.asarray(noise_diag, dtype=float)) + jitter * np.eye(n)
+    system = _system(unit_design, np.asarray(noise_diag, dtype=float), lengthscale)
+    system = system + jitter * np.eye(n)
     try:
         L = np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
@@ -127,12 +119,11 @@ def _golden_section(f, lo, hi, rel_tol=1e-4):
     return np.exp((a + b) / 2.0)
 
 
-def fit(box: ParameterBox, design, targets, noise_diag=None,
-        lengthscale_bounds=LENGTHSCALE_BOUNDS, jitter: float = 1e-10) -> GpModel:
+def fit(box: ParameterBox, design, targets, noise_diag=None) -> GpModel:
     """Fit the lengthscale by maximizing the log marginal likelihood.
 
-    The search evaluates 50 log-spaced candidates over the bounds, then
-    refines the best one by golden-section search.
+    The search evaluates 50 log-spaced candidates over LENGTHSCALE_BOUNDS,
+    then refines the best one by golden-section search.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -148,44 +139,37 @@ def fit(box: ParameterBox, design, targets, noise_diag=None,
         raise ValueError("noise_diag length must match design size")
 
     unit = box.to_unit(design)
-    lo, hi = lengthscale_bounds
 
     def lml(l):
-        return log_marginal_likelihood(unit, targets, noise_diag, l, jitter)
+        return log_marginal_likelihood(unit, targets, noise_diag, l)
 
-    grid = np.geomspace(lo, hi, 50)
+    grid = np.geomspace(*LENGTHSCALE_BOUNDS, 50)
     vals = np.array([lml(l) for l in grid])
     if not np.any(np.isfinite(vals)):
         raise ModelFitError("log marginal likelihood is -inf over the whole grid")
     best = int(np.argmax(vals))
     g_lo = grid[max(best - 1, 0)]
     g_hi = grid[min(best + 1, grid.size - 1)]
-    lengthscale = _golden_section(lml, g_lo, g_hi)
-
-    L, used_jitter = _system_cholesky(unit, noise_diag, lengthscale, jitter)
-    alpha = cho_solve((L, True), targets)
-    return GpModel(
-        box=box,
-        design=design,
-        targets=targets,
-        noise_diag=noise_diag,
-        params=KernelParams(lengthscale, used_jitter),
-        chol=L,
-        alpha=alpha,
-    )
+    return model_at(box, design, targets, noise_diag, _golden_section(lml, g_lo, g_hi))
 
 
-def make_model(box: ParameterBox, design, targets, noise_diag, lengthscale,
-               jitter: float = 1e-10) -> GpModel:
-    """Build a model at a fixed lengthscale without likelihood fitting."""
+def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
+             jitter: float = 1e-10) -> GpModel:
+    """Build a model at a fixed lengthscale, escalating jitter x10 up to 1e-4."""
     design = np.atleast_2d(np.asarray(design, dtype=float))
     targets = np.asarray(targets, dtype=float)
     noise_diag = np.asarray(noise_diag, dtype=float)
-    unit = box.to_unit(design)
-    L, used_jitter = _system_cholesky(unit, noise_diag, lengthscale, jitter)
-    alpha = cho_solve((L, True), targets)
-    return GpModel(box, design, targets, noise_diag,
-                   KernelParams(lengthscale, used_jitter), L, alpha)
+    base = _system(box.to_unit(design), noise_diag, lengthscale)
+    while jitter <= 1e-4:
+        try:
+            L = np.linalg.cholesky(base + jitter * np.eye(base.shape[0]))
+            break
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    else:
+        raise ModelFitError("kernel system not positive definite after jitter escalation")
+    return GpModel(box, design, targets, noise_diag, KernelParams(lengthscale, jitter),
+                   L, cho_solve((L, True), targets))
 
 
 def posterior(model: GpModel, theta) -> Posterior:

@@ -26,34 +26,33 @@ class Subregion:
     pair: tuple
 
 
-def _pair_volume(theta_a, theta_b, weight, theta_floor) -> Subregion:
-    lo = np.minimum(theta_a, theta_b)
-    hi = np.maximum(theta_a, theta_b)
-    vol = float(np.prod(np.maximum(np.abs(theta_a - theta_b), theta_floor)) * weight)
-    return lo, hi, vol
+def _smallest_pair(design, weight, theta_floor: float) -> Subregion | None:
+    """Smallest weighted-volume pair subregion; ties keep the first pair in (a, b) order.
 
-
-def _best(candidates) -> Subregion | None:
-    """Smallest volume, ties broken by (a, b) lexicographic order."""
-    if not candidates:
-        return None
-    return min(candidates, key=lambda s: (s.volume, s.pair))
+    `weight(a, b)` scales the pair's floored hypervolume, or is None when the
+    pair is not a candidate.
+    """
+    if theta_floor <= 0:
+        raise ValueError("theta_floor must be positive")
+    design = np.atleast_2d(np.asarray(design, dtype=float))
+    best = None
+    for a in range(design.shape[0]):
+        for b in range(a + 1, design.shape[0]):
+            w = weight(a, b)
+            if w is None:
+                continue
+            ta, tb = design[a], design[b]
+            vol = float(np.prod(np.maximum(np.abs(ta - tb), theta_floor)) * w)
+            if best is None or vol < best.volume:
+                best = Subregion(np.minimum(ta, tb), np.maximum(ta, tb), vol, (a, b))
+    return best
 
 
 def rss_deterministic(design, signed_values, theta_floor: float) -> Subregion | None:
     """Smallest sign-changing subregion over all design pairs, or None."""
-    if theta_floor <= 0:
-        raise ValueError("theta_floor must be positive")
-    design = np.atleast_2d(np.asarray(design, dtype=float))
     f = np.asarray(signed_values, dtype=float)
-    candidates = []
-    for a in range(design.shape[0]):
-        for b in range(a + 1, design.shape[0]):
-            if f[a] * f[b] < 0:
-                lo, hi, vol = _pair_volume(design[a], design[b],
-                                           abs(f[a] - f[b]), theta_floor)
-                candidates.append(Subregion(lo, hi, vol, (a, b)))
-    return _best(candidates)
+    return _smallest_pair(
+        design, lambda a, b: abs(f[a] - f[b]) if f[a] * f[b] < 0 else None, theta_floor)
 
 
 def sign_change_prob(post_a: Posterior, post_b: Posterior) -> float:
@@ -70,16 +69,11 @@ def sign_change_prob(post_a: Posterior, post_b: Posterior) -> float:
 def rss_stochastic(design, posteriors, alpha: float,
                    theta_floor: float) -> Subregion | None:
     """Smallest subregion among pairs with sign-change probability >= alpha."""
-    if theta_floor <= 0:
-        raise ValueError("theta_floor must be positive")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    candidates = []
-    for a in range(design.shape[0]):
-        for b in range(a + 1, design.shape[0]):
-            p = sign_change_prob(posteriors[a], posteriors[b])
-            if p >= alpha:
-                lo, hi, vol = _pair_volume(design[a], design[b], 1.0 - p, theta_floor)
-                candidates.append(Subregion(lo, hi, vol, (a, b)))
-    return _best(candidates)
+
+    def weight(a, b):
+        p = sign_change_prob(posteriors[a], posteriors[b])
+        return 1.0 - p if p >= alpha else None
+
+    return _smallest_pair(design, weight, theta_floor)

@@ -1,9 +1,10 @@
 """Benchmark simulation models behind one residual-drawing interface.
 
 Each model exposes a parameter box, an output dimension, and
-``draw(theta, rng) -> residual vector``.  The queueing and epidemic models
-hold one fixed synthetic observation, generated from a dedicated stream at
-the true parameter, and return observation-minus-simulation residuals.
+``draw(theta, gen) -> residual vector``, where ``gen`` is a
+``numpy.random.Generator``.  The queueing and epidemic models hold one fixed
+synthetic observation, generated from a dedicated stream at the true
+parameter, and return observation-minus-simulation residuals.
 """
 
 from __future__ import annotations
@@ -27,20 +28,13 @@ __all__ = [
 ]
 
 
-def _gen(rng) -> np.random.Generator:
-    """Accept a splittable RngStream or an already-built Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
 class SimulationModel:
-    """Interface: box, output_dim, draw(theta, rng)."""
+    """Interface: box, output_dim, draw(theta, gen)."""
 
     box: ParameterBox
     output_dim: int
 
-    def draw(self, theta, rng) -> np.ndarray:
+    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -62,9 +56,9 @@ class Himmelblau2D(SimulationModel):
     )
     output_dim: int = 1
 
-    def draw(self, theta, rng: RngStream) -> np.ndarray:
+    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
         f = himmelblau_signed(theta)
-        noise = _gen(rng).normal(0.0, np.sqrt(abs(f)))
+        noise = gen.normal(0.0, np.sqrt(abs(f)))
         return np.array([f + noise])
 
 
@@ -106,9 +100,9 @@ class Mm1Queue(SimulationModel):
         return cls(observed=observed, service_rate=service_rate,
                    output_dim=n_entities)
 
-    def draw(self, theta, rng: RngStream) -> np.ndarray:
+    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
         sim = mm1_sojourn_times(float(theta[0]), self.service_rate,
-                                self.output_dim, _gen(rng))
+                                self.output_dim, gen)
         return self.observed - sim
 
 
@@ -168,8 +162,8 @@ class StochasticSir(SimulationModel):
         observed = sir_trajectory(infection_real, obs_rng.generator())
         return cls(observed=observed)
 
-    def draw(self, theta, rng: RngStream) -> np.ndarray:
-        sim = sir_trajectory(min(max(float(theta[0]), 0.0), 1.0), _gen(rng))
+    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
+        sim = sir_trajectory(min(max(float(theta[0]), 0.0), 1.0), gen)
         return self.observed - sim
 
 
@@ -188,9 +182,9 @@ class RootlessQuadratic(SimulationModel):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
-    def draw(self, theta, rng: RngStream) -> np.ndarray:
+    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
         value = float(theta[0]) ** 2 + self.eps
-        return np.array([value + _gen(rng).normal(0.0, self.noise_std)])
+        return np.array([value + gen.normal(0.0, self.noise_std)])
 
 
 def make_model(problem: str, obs_rng: RngStream, params: dict | None = None) -> SimulationModel:

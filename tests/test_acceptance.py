@@ -29,7 +29,7 @@ from rootcal.metamodel import (
     Posterior,
     fit,
     log_marginal_likelihood,
-    make_model,
+    model_at,
     posterior,
 )
 from rootcal.rss import rss_deterministic, rss_stochastic, sign_change_prob
@@ -65,7 +65,7 @@ def test_criterion_2_posterior_correctness():
         design = rng.random((5, 2))
         targets = rng.normal(size=5)
         noise = np.zeros(5)
-        interp = make_model(box, design, targets, noise, lengthscale=0.5)
+        interp = model_at(box, design, targets, noise, lengthscale=0.5)
         for x, f in zip(design, targets):
             post = posterior(interp, x)
             assert abs(post.mean - f) <= 1e-6

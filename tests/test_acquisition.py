@@ -18,7 +18,7 @@ from rootcal.acquisition import (
     select_incumbent,
 )
 from rootcal.core import ParameterBox
-from rootcal.metamodel import Posterior, make_model
+from rootcal.metamodel import Posterior, model_at
 
 
 def _phi(z):
@@ -100,7 +100,7 @@ class TestGradients:
         rng = np.random.default_rng(1)
         design = rng.random((6, 2))
         targets = rng.normal(size=6)
-        model = make_model(box, design, targets, np.full(6, 0.02), 0.5)
+        model = model_at(box, design, targets, np.full(6, 0.02), 0.5)
         from rootcal.metamodel import posterior, posterior_grad
 
         inc = Incumbent(0, 0.4)
@@ -125,7 +125,7 @@ class TestSelectIncumbent:
         box = ParameterBox([0.0], [1.0])
         design = np.array([[0.1], [0.5], [0.9]])
         targets = np.array([2.0, -0.5, 1.0])
-        return make_model(box, design, targets, np.full(3, 0.01), 0.3)
+        return model_at(box, design, targets, np.full(3, 0.01), 0.3)
 
     def test_deterministic_min_uses_smallest_value(self):
         inc = select_incumbent(self._model(), Mode.MIN, stochastic=False)
@@ -136,13 +136,6 @@ class TestSelectIncumbent:
         inc = select_incumbent(self._model(), Mode.ROOT, stochastic=False)
         assert inc.index == 1
         assert inc.value == -0.5
-
-    def test_deterministic_root_with_observed_override(self):
-        observed = np.array([3.0, 2.0, -0.1])
-        inc = select_incumbent(self._model(), Mode.ROOT, stochastic=False,
-                               observed=observed)
-        assert inc.index == 2
-        assert inc.value == pytest.approx(-0.1)
 
     def test_stochastic_min_uses_posterior_mean(self):
         from rootcal.metamodel import posterior

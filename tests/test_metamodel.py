@@ -8,7 +8,7 @@ from rootcal.metamodel import (
     LENGTHSCALE_BOUNDS,
     fit,
     log_marginal_likelihood,
-    make_model,
+    model_at,
     posterior,
     posterior_grad,
 )
@@ -26,7 +26,7 @@ def _random_problem(seed, n=6, dim=2, noise_scale=0.0):
 class TestPosterior:
     def test_interpolates_noise_free_data(self):
         box, design, targets, noise = _random_problem(0)
-        model = make_model(box, design, targets, noise, lengthscale=0.5)
+        model = model_at(box, design, targets, noise, lengthscale=0.5)
         for x, f in zip(design, targets):
             post = posterior(model, x)
             assert abs(post.mean - f) < 1e-6
@@ -34,7 +34,7 @@ class TestPosterior:
 
     def test_matches_dense_solve_oracle(self):
         box, design, targets, noise = _random_problem(1, noise_scale=0.1)
-        model = make_model(box, design, targets, noise, lengthscale=0.4)
+        model = model_at(box, design, targets, noise, lengthscale=0.4)
         params = KernelParams(0.4)
         K = kernel_matrix(design, design, params)
         system = K + np.diag(noise) + model.params.jitter * np.eye(len(targets))
@@ -50,7 +50,7 @@ class TestPosterior:
 
     def test_reverts_to_prior_far_from_data(self):
         box = ParameterBox([0.0], [1.0])
-        model = make_model(box, [[0.0]], [5.0], [0.0], lengthscale=0.01)
+        model = model_at(box, [[0.0]], [5.0], [0.0], lengthscale=0.01)
         post = posterior(model, [1.0])
         assert abs(post.mean) < 1e-6
         assert post.var == pytest.approx(1.0, abs=1e-6)
@@ -83,7 +83,7 @@ class TestFit:
         rng = np.random.default_rng(4)
         box = ParameterBox([0.0], [1.0])
         design = np.linspace(0, 1, 12)[:, None]
-        true = make_model(box, [[0.3], [0.8]], [1.0, -1.0], [0.0, 0.0], 0.2)
+        true = model_at(box, [[0.3], [0.8]], [1.0, -1.0], [0.0, 0.0], 0.2)
         targets = np.array([posterior(true, x).mean for x in design])
         targets += rng.normal(0, 1e-4, 12)
         model = fit(box, design, targets)
@@ -115,7 +115,7 @@ class TestPosteriorGrad:
         rng = np.random.default_rng(6)
         design = box.from_unit(rng.random((6, 2)))
         targets = rng.normal(size=6)
-        model = make_model(box, design, targets, np.full(6, 0.01), 0.4)
+        model = model_at(box, design, targets, np.full(6, 0.01), 0.4)
         h = 1e-6
         for _ in range(5):
             x = box.from_unit(rng.random(2))
@@ -132,7 +132,7 @@ class TestPosteriorGrad:
 
     def test_degenerate_std_raises(self):
         box = ParameterBox([0.0], [1.0])
-        model = make_model(box, [[0.2], [0.8]], [1.0, 2.0], np.zeros(2), 0.5,
-                           jitter=0.0)
+        model = model_at(box, [[0.2], [0.8]], [1.0, 2.0], np.zeros(2), 0.5,
+                         jitter=0.0)
         with pytest.raises(DegenerateStdError):
             posterior_grad(model, [0.2])

@@ -61,7 +61,7 @@ class TestMm1:
     def test_residual_zero_when_replaying_observation_stream(self):
         obs = RngStream(7)
         sim = Mm1Queue.from_stream(obs, arrival_real=6.0)
-        resid = sim.draw([6.0], obs)
+        resid = sim.draw([6.0], obs.generator())
         assert sim.output_dim == 100
         assert resid.shape == (100,)
         assert np.allclose(resid, 0.0)
@@ -73,7 +73,7 @@ class TestMm1:
         base = RngStream(9)
         means = []
         for k, theta in enumerate((4.0, 6.0, 8.0)):
-            draws = [sim.draw([theta], base.child(k, j)).mean()
+            draws = [sim.draw([theta], base.child(k, j).generator()).mean()
                      for j in range(1000)]
             means.append(np.mean(draws))
         assert means[0] > means[1] > means[2]
@@ -105,7 +105,7 @@ class TestSir:
     def test_residual_zero_when_replaying_observation_stream(self):
         obs = RngStream(12)
         sim = StochasticSir.from_stream(obs, infection_real=0.65)
-        assert np.allclose(sim.draw([0.65], obs), 0.0)
+        assert np.allclose(sim.draw([0.65], obs.generator()), 0.0)
 
 
 class TestRootlessQuadratic:
