@@ -1,7 +1,8 @@
 """Golden output digests: the CLI's CSV bytes at small fixed configs.
 
 Each case runs a ``rootcal`` subcommand through ``cli.main`` and compares the
-SHA-256 of every CSV it writes with a committed value, so "same behaviour"
+SHA-256 of every CSV it writes (for ``diagnose``, of its JSON on stdout) with
+a committed value, so "same behaviour"
 is checked against a fixed reference rather than only against a rerun.  The
 run summary JSON is not digested because it holds ``wall_time_s``.
 
@@ -10,7 +11,9 @@ the same change and says why; ``python tests/test_golden.py`` prints the
 current values.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -37,6 +40,10 @@ RUNS = {
                  _method("min", "stochastic", "pi", False)],
 }
 
+# problem -> theta for `rootcal diagnose`; sir at 0.95 reaches the branch
+# where susceptibles number fewer than twice the infected
+DIAGNOSE = {"mm1": "7.5", "sir": "0.95"}
+
 RUN_CASES = [(problem, i) for problem in RUNS for i in range(len(RUNS[problem]))]
 
 GOLDEN = {
@@ -52,6 +59,8 @@ GOLDEN = {
     "sweep/aggregate": "2b4cb42bd11efd68919ef8ad474a8292c6e32c4d2bf275266a0435b9e911c688",
     "rootless/0.1": "c47d64e587e2d978e63c392cbbff18b67a41ef5fe890fda57d164cee60be5ad1",
     "rootless/2.0": "765bed8795390c7530b1902e45885bf0f402f57202f5343f8872da549754cf7f",
+    "diagnose/mm1": "db7c9b8884553d92b265633d68ccc8f24719f4b7c6fbc02f6d762da27cb4a479",
+    "diagnose/sir": "c82e2b9d859abb968b79218f0d0f57a9c472a81701b82c49f17901d0c71a98a5",
 }
 
 
@@ -63,6 +72,15 @@ def _write_config(tmp_path, **cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 3, **SMALL, **cfg}), encoding="utf-8")
     return str(path)
+
+
+def diagnose_digests(problem) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["diagnose", "--problem", problem, "--theta", DIAGNOSE[problem],
+                         "--reps", "50", "--seed", "3"])
+    assert code == cli.EXIT_OK
+    return {f"diagnose/{problem}": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
 def run_digests(tmp_path, problem, index) -> dict:
@@ -106,6 +124,12 @@ def test_sweep_digests(tmp_path, monkeypatch):
         assert digest == GOLDEN[key], key
 
 
+@pytest.mark.parametrize("problem", sorted(DIAGNOSE))
+def test_diagnose_digest(problem):
+    for key, digest in diagnose_digests(problem).items():
+        assert digest == GOLDEN[key], key
+
+
 @pytest.mark.parametrize("eps", [0.1, 2.0])  # limiting and direct gap forms
 def test_rootless_digest(tmp_path, eps):
     for key, digest in rootless_digests(tmp_path, eps).items():
@@ -123,5 +147,7 @@ if __name__ == "__main__":
         current.update(sweep_digests(Path(tmp)))
         for eps in (0.1, 2.0):
             current.update(rootless_digests(Path(tmp), eps))
+    for problem in sorted(DIAGNOSE):
+        current.update(diagnose_digests(problem))
     for key, digest in current.items():
         print(f'    "{key}": "{digest}",')
