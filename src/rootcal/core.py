@@ -100,20 +100,24 @@ class ObservationSummary:
     reps: int
 
 
-def aggregate_signed(sample) -> float:
-    """Average the residual vector across output dimensions into one signed scalar."""
+def _residuals(sample) -> np.ndarray:
     sample = np.asarray(sample, dtype=float)
     if sample.size == 0:
         raise ValueError("residual sample is empty")
-    return float(np.mean(sample))
+    return sample
 
 
-def aggregate_squared(sample) -> float:
-    """Mean of squared residual components."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.size == 0:
-        raise ValueError("residual sample is empty")
-    return float(np.mean(sample**2))
+def aggregate_signed(sample):
+    """Average the residual vector across output dimensions into one signed scalar.
+
+    A ``(reps, m)`` array gives one aggregate per row.
+    """
+    return np.mean(_residuals(sample), axis=-1)
+
+
+def aggregate_squared(sample):
+    """Mean of squared residual components; one per row of a ``(reps, m)`` array."""
+    return np.mean(_residuals(sample) ** 2, axis=-1)
 
 
 def _noise_var(values: np.ndarray) -> float:
@@ -125,20 +129,22 @@ def _noise_var(values: np.ndarray) -> float:
 
 
 def summarize(theta, samples) -> ObservationSummary:
-    """Summarize replicated residual samples at a design point."""
+    """Summarize replicated residual samples, one row per replication."""
     if len(samples) == 0:
         raise ValueError("at least one residual sample required")
-    arrays = [np.asarray(s, dtype=float) for s in samples]
-    m_y = arrays[0].size
-    if any(a.size != m_y for a in arrays):
+    try:
+        samples = np.asarray(samples, dtype=float)
+    except ValueError:
+        raise ValueError("residual samples disagree on output dimension") from None
+    if samples.ndim != 2:
         raise ValueError("residual samples disagree on output dimension")
-    signed = np.array([aggregate_signed(a) for a in arrays])
-    squared = np.array([aggregate_squared(a) for a in arrays])
+    signed = aggregate_signed(samples)
+    squared = aggregate_squared(samples)
     return ObservationSummary(
         theta=np.atleast_1d(np.asarray(theta, dtype=float)),
         signed_mean=float(signed.mean()),
         squared_mean=float(squared.mean()),
         signed_noise_var=_noise_var(signed),
         squared_noise_var=_noise_var(squared),
-        reps=len(arrays),
+        reps=len(samples),
     )

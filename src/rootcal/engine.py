@@ -31,6 +31,7 @@ from .acquisition import (
     select_incumbent,
 )
 from .core import ObservationSummary, ParameterBox, RngStream, aggregate_squared, summarize
+from .kernel import kernel_matrix
 from .metamodel import DegenerateStdError, GpModel, fit, posterior, posterior_grad
 from .simulators import RootlessQuadratic, SimulationModel, make_model
 
@@ -115,13 +116,26 @@ def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
     return [box.from_unit(u) for u in points]
 
 
+def _checked_theta(model: SimulationModel, theta) -> np.ndarray:
+    """Reject a non-finite or out-of-box theta before any replication is drawn."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"{type(model).__name__}: theta {theta.tolist()} is not finite")
+    if not model.box.contains(theta):
+        raise ValueError(
+            f"{type(model).__name__}: theta {theta.tolist()} is outside the box "
+            f"[{model.box.lower.tolist()}, {model.box.upper.tolist()}]")
+    return theta
+
+
 def evaluate_point(model: SimulationModel, theta, reps: int,
                    rng: RngStream) -> ObservationSummary:
     """Draw `reps` independent residual samples at theta and summarize them."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    samples = [model.draw(theta, rng.child(j).generator()) for j in range(reps)]
-    return summarize(theta, samples)
+    _checked_theta(model, theta)
+    gens = [rng.child(j).generator() for j in range(reps)]
+    return summarize(theta, model.draw_batch(theta, gens))
 
 
 def post_evaluate(model: SimulationModel, theta, post_reps: int,
@@ -129,9 +143,8 @@ def post_evaluate(model: SimulationModel, theta, post_reps: int,
     """Fresh estimate of the squared-discrepancy objective with a 95% CI half-width."""
     if post_reps < 2:
         raise ValueError("post_reps must be >= 2")
-    gen = rng.generator()
-    vals = np.array([aggregate_squared(model.draw(theta, gen))
-                     for j in range(post_reps)])
+    _checked_theta(model, theta)
+    vals = aggregate_squared(model.draw_batch(theta, [rng.generator()] * post_reps))
     ci_half = 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
     return float(vals.mean()), ci_half
 
@@ -255,8 +268,9 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     inc = select_incumbent(model, Mode.ROOT, stochastic=False)
     v_min = select_incumbent(model, Mode.MIN, stochastic=False)
 
-    grid = np.linspace(-1.0, 1.0, 201)[:, None]
-    mean_positive = all(posterior(model, g).mean > 0.0 for g in grid)
+    grid = model.box.to_unit(np.linspace(-1.0, 1.0, 201)[:, None])
+    grid_means = kernel_matrix(grid, model.unit_design, model.params) @ model.alpha
+    mean_positive = bool(np.all(grid_means > 0.0))
 
     lcb_diff = abs(rf_lcb(post, 1.0) - lcb(post, 1.0))
     if eps >= 1.0:

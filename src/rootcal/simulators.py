@@ -1,10 +1,14 @@
 """Benchmark simulation models behind one residual-drawing interface.
 
-Each model exposes a parameter box, an output dimension, and
-``draw(theta, gen) -> residual vector``, where ``gen`` is a
-``numpy.random.Generator``.  The queueing and epidemic models hold one fixed
-synthetic observation, generated from a dedicated stream at the true
-parameter, and return observation-minus-simulation residuals.
+Each model exposes a parameter box, an output dimension,
+``draw(theta, gen) -> residual vector`` and
+``draw_batch(theta, gens) -> (len(gens), output_dim) array``, where each
+``gen`` is a ``numpy.random.Generator``.  Row ``i`` of a batch is drawn from
+``gens[i]``, rows in order, so it is bit-identical to ``draw(theta, gens[i])``
+called in the same sequence; a generator may appear in several rows.  A model
+implements one of the two and inherits the other.  The queueing and epidemic
+models hold one fixed synthetic observation, generated from a dedicated stream
+at the true parameter, and return observation-minus-simulation residuals.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
     "StochasticSir",
     "RootlessQuadratic",
     "himmelblau_signed",
+    "mm1_sojourn_batch",
     "mm1_sojourn_times",
     "sir_trajectory",
     "make_model",
@@ -29,13 +34,19 @@ __all__ = [
 
 
 class SimulationModel:
-    """Interface: box, output_dim, draw(theta, gen)."""
+    """Interface: box, output_dim, draw(theta, gen), draw_batch(theta, gens)."""
 
     box: ParameterBox
     output_dim: int
 
     def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        if type(self).draw_batch is SimulationModel.draw_batch:
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither draw nor draw_batch")
+        return self.draw_batch(theta, [gen])[0]
+
+    def draw_batch(self, theta, gens) -> np.ndarray:
+        return np.array([self.draw(theta, gen) for gen in gens])
 
 
 def himmelblau_signed(theta) -> float:
@@ -62,18 +73,31 @@ class Himmelblau2D(SimulationModel):
         return np.array([f + noise])
 
 
-def mm1_sojourn_times(arrival_rate: float, service_rate: float,
-                      n_entities: int, gen: np.random.Generator) -> np.ndarray:
-    """Per-entity sojourn times of a single FIFO server via the Lindley recursion."""
-    interarrivals = gen.exponential(1.0 / arrival_rate, n_entities)
-    services = gen.exponential(1.0 / service_rate, n_entities)
-    sojourn = np.empty(n_entities)
-    wait = 0.0
+def mm1_sojourn_batch(arrival_rate: float, service_rate: float,
+                      n_entities: int, gens) -> np.ndarray:
+    """Per-entity sojourn times of a single FIFO server via the Lindley recursion.
+
+    Row ``i`` holds the inter-arrival then the service draws of ``gens[i]``,
+    and the recursion runs once over entities, across all rows.  The sojourns
+    overwrite the inter-arrival array, which is returned.
+    """
+    times = np.empty((len(gens), n_entities))
+    services = np.empty_like(times)
+    for row, gen in enumerate(gens):
+        times[row] = gen.exponential(1.0 / arrival_rate, n_entities)
+        services[row] = gen.exponential(1.0 / service_rate, n_entities)
+    wait = np.zeros(len(gens))
     for k in range(n_entities):
         if k > 0:
-            wait = max(0.0, wait + services[k - 1] - interarrivals[k])
-        sojourn[k] = wait + services[k]
-    return sojourn
+            wait = np.maximum(0.0, wait + services[:, k - 1] - times[:, k])
+        times[:, k] = wait + services[:, k]
+    return times
+
+
+def mm1_sojourn_times(arrival_rate: float, service_rate: float,
+                      n_entities: int, gen: np.random.Generator) -> np.ndarray:
+    """One trajectory of :func:`mm1_sojourn_batch`, drawn from ``gen``."""
+    return mm1_sojourn_batch(arrival_rate, service_rate, n_entities, [gen])[0]
 
 
 @dataclass(frozen=True)
@@ -100,10 +124,10 @@ class Mm1Queue(SimulationModel):
         return cls(observed=observed, service_rate=service_rate,
                    output_dim=n_entities)
 
-    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
-        sim = mm1_sojourn_times(float(theta[0]), self.service_rate,
-                                self.output_dim, gen)
-        return self.observed - sim
+    def draw_batch(self, theta, gens) -> np.ndarray:
+        sim = mm1_sojourn_batch(float(theta[0]), self.service_rate,
+                                self.output_dim, gens)
+        return np.subtract(self.observed, sim, out=sim)
 
 
 def sir_trajectory(infection_prob: float, gen: np.random.Generator,
@@ -130,12 +154,20 @@ def sir_trajectory(infection_prob: float, gen: np.random.Generator,
                 infected_today = int(gen.binomial(contacts_per_day * i,
                                                   infection_prob))
             else:
-                pool = s
-                for _ in range(i):
-                    contacts = min(contacts_per_day, pool)
-                    if contacts == 0:
-                        break
-                    new = int(gen.binomial(contacts, infection_prob))
+                # infected take turns; each contacts min(contacts_per_day, pool)
+                # of the remaining pool.  While pool - contacts_per_day * (k - 1)
+                # >= contacts_per_day, the next k turns all make full contacts,
+                # and one sized draw equals k scalar draws.
+                pool, left = s, i
+                while left > 0 and pool > 0:
+                    if pool < contacts_per_day:
+                        new = int(gen.binomial(pool, infection_prob))
+                        left -= 1
+                    else:
+                        k = min(left, (pool - contacts_per_day) // contacts_per_day + 1)
+                        new = int(gen.binomial(contacts_per_day, infection_prob,
+                                               size=k).sum())
+                        left -= k
                     pool -= new
                     infected_today += new
         recoveries = int(gen.binomial(i, recovery_prob)) if i > 0 else 0

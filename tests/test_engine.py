@@ -74,6 +74,71 @@ class TestEvaluation:
         assert ci_big < ci_small
 
 
+def _evaluate_reference(model, theta, reps, rng):
+    """Scalar loop: one draw and one pair of aggregates per replication."""
+    rows = [model.draw(theta, rng.child(j).generator()) for j in range(reps)]
+    signed = np.array([float(np.mean(r)) for r in rows])
+    squared = np.array([float(np.mean(r**2)) for r in rows])
+
+    def noise_var(v):
+        return 0.0 if v.size == 1 else float(np.sum((v - v.mean()) ** 2) / (reps * (reps - 1)))
+
+    return (float(signed.mean()), float(squared.mean()), noise_var(signed),
+            noise_var(squared))
+
+
+def _post_reference(model, theta, post_reps, rng):
+    gen = rng.generator()
+    vals = np.array([float(np.mean(model.draw(theta, gen) ** 2))
+                     for _ in range(post_reps)])
+    return float(vals.mean()), 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
+
+
+POINTS = [("mm1", [6.0]), ("mm1", [9.7]), ("sir", [0.2]), ("sir", [0.95]),
+          ("himmelblau2d", [0.5, -1.0]), ("rootless", [0.3])]
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("problem,theta", POINTS)
+    @pytest.mark.parametrize("reps", [1, 10])
+    def test_evaluate_point_equals_scalar_loop(self, problem, theta, reps):
+        sim = make_model(problem, RngStream(2).child(OBS_KEY))
+        s = evaluate_point(sim, theta, reps, RngStream(6))
+        assert (s.signed_mean, s.squared_mean, s.signed_noise_var,
+                s.squared_noise_var) == _evaluate_reference(sim, theta, reps, RngStream(6))
+        assert s.reps == reps
+
+    @pytest.mark.parametrize("problem,theta", POINTS)
+    def test_post_evaluate_equals_scalar_loop(self, problem, theta):
+        sim = make_model(problem, RngStream(2).child(OBS_KEY))
+        assert post_evaluate(sim, theta, 200, RngStream(7)) == \
+            _post_reference(sim, theta, 200, RngStream(7))
+
+
+class TestInputGuard:
+    @pytest.mark.parametrize("problem,theta", [
+        ("himmelblau2d", [np.nan, 0.0]),
+        ("himmelblau2d", [0.0, np.inf]),
+        ("himmelblau2d", [3.5, 0.0]),
+        ("mm1", [0.0]),
+        ("sir", [1.2]),
+        ("rootless", [-1.5]),
+    ])
+    def test_bad_theta_rejected_naming_model_and_theta(self, problem, theta):
+        sim = make_model(problem, RngStream(0))
+        name = type(sim).__name__
+        for call in (lambda: evaluate_point(sim, theta, 3, RngStream(0)),
+                     lambda: post_evaluate(sim, theta, 10, RngStream(0))):
+            with pytest.raises(ValueError, match=name) as info:
+                call()
+            assert str([float(v) for v in theta]) in str(info.value)
+
+    def test_box_edges_accepted(self):
+        sim = make_model("sir", RngStream(0))
+        for theta in ([0.0], [1.0]):
+            assert evaluate_point(sim, theta, 2, RngStream(0)).reps == 2
+
+
 class TestRunCalibration:
     def test_trace_shape_and_labels(self):
         cfg = _config(budget=3)

@@ -6,12 +6,57 @@ from rootcal.simulators import (
     Himmelblau2D,
     Mm1Queue,
     RootlessQuadratic,
+    SimulationModel,
     StochasticSir,
     himmelblau_signed,
     make_model,
+    mm1_sojourn_batch,
     mm1_sojourn_times,
     sir_trajectory,
 )
+
+
+# Scalar references: the per-entity Lindley loop and the per-infected contact
+# loop that the batched and chunked simulators must reproduce bit for bit.
+def lindley_reference(arrival_rate, service_rate, n_entities, gen):
+    interarrivals = gen.exponential(1.0 / arrival_rate, n_entities)
+    services = gen.exponential(1.0 / service_rate, n_entities)
+    sojourn = np.empty(n_entities)
+    wait = 0.0
+    for k in range(n_entities):
+        if k > 0:
+            wait = max(0.0, wait + services[k - 1] - interarrivals[k])
+        sojourn[k] = wait + services[k]
+    return sojourn
+
+
+def sir_reference(infection_prob, gen, population=100, initial_infected=10,
+                  contacts_per_day=2, recovery_prob=0.7, horizon=5):
+    """Returns the trajectory and the number of days spent in the contact loop."""
+    s, i, r = population - initial_infected, initial_infected, 0
+    out = np.empty(horizon)
+    loop_days = 0
+    for day in range(horizon):
+        infected_today = 0
+        if i > 0 and s > 0:
+            if s >= contacts_per_day * i:
+                infected_today = int(gen.binomial(contacts_per_day * i, infection_prob))
+            else:
+                loop_days += 1
+                pool = s
+                for _ in range(i):
+                    contacts = min(contacts_per_day, pool)
+                    if contacts == 0:
+                        break
+                    new = int(gen.binomial(contacts, infection_prob))
+                    pool -= new
+                    infected_today += new
+        recoveries = int(gen.binomial(i, recovery_prob)) if i > 0 else 0
+        s -= infected_today
+        i = i - recoveries + infected_today
+        r += recoveries
+        out[day] = r / population
+    return out, loop_days
 
 
 class TestHimmelblau:
@@ -144,3 +189,80 @@ class TestMakeModel:
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             make_model("nope", RngStream(0))
+
+
+BATCH_CASES = (
+    [("mm1", [lam]) for lam in (2.0, 6.0, 9.7)]
+    + [("sir", [p]) for p in (0.0, 0.2, 0.65, 0.95, 1.0)]
+    + [("himmelblau2d", [0.5, -1.0]), ("rootless", [0.3])]
+)
+
+
+def _twins(seed, n):
+    return ([np.random.default_rng(seed + j) for j in range(n)],
+            [np.random.default_rng(seed + j) for j in range(n)])
+
+
+class TestDrawBatch:
+    @pytest.mark.parametrize("problem,theta", BATCH_CASES)
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_rows_equal_sequential_draws(self, problem, theta, shared):
+        sim = make_model(problem, RngStream(4))
+        reps = 25
+        gens, twins = _twins(40, 1 if shared else reps)
+        if shared:
+            gens, twins = gens * reps, twins * reps
+        batch = sim.draw_batch(theta, gens)
+        assert batch.shape == (reps, sim.output_dim)
+        for row, twin in zip(batch, twins):
+            assert np.array_equal(row, sim.draw(theta, twin))
+        for gen, twin in zip(gens, twins):
+            assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("arrival_rate", [2.0, 6.0, 9.7])
+    def test_lindley_batch_equals_scalar_loop(self, arrival_rate):
+        gens, twins = _twins(7, 30)
+        batch = mm1_sojourn_batch(arrival_rate, 4.0, 100, gens)
+        for row, twin in zip(batch, twins):
+            assert np.array_equal(row, lindley_reference(arrival_rate, 4.0, 100, twin))
+        for gen, twin in zip(gens, twins):
+            assert gen.random() == twin.random()
+
+    def test_mm1_observation_and_draw_follow_scalar_loop(self):
+        sim = Mm1Queue.from_stream(RngStream(5))
+        assert np.array_equal(
+            sim.observed, lindley_reference(6.0, 4.0, 100, RngStream(5).generator()))
+        gen, twin = _twins(8, 1)
+        resid = sim.draw([3.5], gen[0])
+        assert np.array_equal(resid, sim.observed
+                              - lindley_reference(3.5, 4.0, 100, twin[0]))
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.65, 0.95, 1.0])
+    def test_sir_chunks_equal_scalar_loop(self, p):
+        gen, twin = np.random.default_rng(9), np.random.default_rng(9)
+        loop_days = 0
+        for _ in range(300):
+            ref, days = sir_reference(p, twin)
+            loop_days += days
+            assert np.array_equal(sir_trajectory(p, gen), ref)
+        assert gen.random() == twin.random()
+        if p >= 0.95:
+            assert loop_days > 0  # the contact loop ran
+
+    @pytest.mark.parametrize("population,initial", [(7, 3), (9, 4), (30, 12)])
+    def test_sir_chunks_equal_scalar_loop_on_odd_pools(self, population, initial):
+        # small odd pools leave one susceptible, the single-contact fallback
+        gen, twin = np.random.default_rng(10), np.random.default_rng(10)
+        for p in (0.5, 0.9, 1.0):
+            for _ in range(100):
+                ref, _ = sir_reference(p, twin, population, initial)
+                out = sir_trajectory(p, gen, population, initial)
+                assert np.array_equal(out, ref)
+        assert gen.random() == twin.random()
+
+    def test_model_without_draw_is_rejected(self):
+        class Empty(SimulationModel):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            Empty().draw([0.0], np.random.default_rng(0))
