@@ -133,11 +133,9 @@ def summarize(theta, samples) -> ObservationSummary:
     if len(samples) == 0:
         raise ValueError("at least one residual sample required")
     try:
-        samples = np.asarray(samples, dtype=float)
+        samples = np.asarray(samples, dtype=float).reshape(len(samples), -1)
     except ValueError:
         raise ValueError("residual samples disagree on output dimension") from None
-    if samples.ndim != 2:
-        raise ValueError("residual samples disagree on output dimension")
     signed = aggregate_signed(samples)
     squared = aggregate_squared(samples)
     return ObservationSummary(

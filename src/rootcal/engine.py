@@ -116,7 +116,7 @@ def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
     return [box.from_unit(u) for u in points]
 
 
-def _checked_theta(model: SimulationModel, theta) -> np.ndarray:
+def _check_theta(model: SimulationModel, theta) -> None:
     """Reject a non-finite or out-of-box theta before any replication is drawn."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if not np.all(np.isfinite(theta)):
@@ -125,7 +125,6 @@ def _checked_theta(model: SimulationModel, theta) -> np.ndarray:
         raise ValueError(
             f"{type(model).__name__}: theta {theta.tolist()} is outside the box "
             f"[{model.box.lower.tolist()}, {model.box.upper.tolist()}]")
-    return theta
 
 
 def evaluate_point(model: SimulationModel, theta, reps: int,
@@ -133,7 +132,7 @@ def evaluate_point(model: SimulationModel, theta, reps: int,
     """Draw `reps` independent residual samples at theta and summarize them."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    _checked_theta(model, theta)
+    _check_theta(model, theta)
     gens = [rng.child(j).generator() for j in range(reps)]
     return summarize(theta, model.draw_batch(theta, gens))
 
@@ -143,7 +142,7 @@ def post_evaluate(model: SimulationModel, theta, post_reps: int,
     """Fresh estimate of the squared-discrepancy objective with a 95% CI half-width."""
     if post_reps < 2:
         raise ValueError("post_reps must be >= 2")
-    _checked_theta(model, theta)
+    _check_theta(model, theta)
     vals = aggregate_squared(model.draw_batch(theta, [rng.generator()] * post_reps))
     ci_half = 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
     return float(vals.mean()), ci_half
