@@ -33,7 +33,7 @@ def main():
     targets = np.array([s.signed_mean for s in summaries])
     noise = np.array([s.signed_noise_var for s in summaries])
     model = fit(box, design, targets, noise)
-    print(f"fitted lengthscale: {model.params.lengthscale:.4f}")
+    print(f"fitted lengthscale: {model.lengthscale:.4f}")
 
     print(f"{'theta':>8} {'truth':>8} {'mean':>8} {'std':>8}")
     for theta in np.linspace(0.0, 1.0, 11):

@@ -24,7 +24,6 @@ from rootcal import (
     acq_gradient,
     select_incumbent,
 )
-from rootcal.metamodel import DegenerateStdError
 
 
 def main():
@@ -43,13 +42,10 @@ def main():
             inc = select_incumbent(model, mode, stochastic=True)
 
             def objective(theta):
-                post = posterior(model, theta)
+                post, grad = posterior_grad(model, theta)
                 value = acq_value(kind, post, inc)
-                try:
-                    grad = acq_gradient(kind, post,
-                                        posterior_grad(model, theta), inc)
-                except DegenerateStdError:
-                    grad = None
+                if grad is not None:
+                    grad = acq_gradient(kind, post, grad, inc)
                 return value, grad
 
             vals = [acq_value(kind, posterior(model, [g]), inc) for g in grid]

@@ -16,7 +16,7 @@ from .acquisition import (
     acq_value,
 )
 from .core import ParameterBox, RngStream, aggregate_signed
-from .metamodel import DegenerateStdError, model_at, posterior, posterior_grad
+from .metamodel import model_at, posterior, posterior_grad
 
 __all__ = [
     "GapReport",
@@ -134,8 +134,7 @@ def validate_gradients(cases: int, rng: RngStream, fd_step: float = 1e-5,
     worst = {kind: 0.0 for kind in ALL_ACQ_KINDS}
     for _ in range(cases):
         model, theta, inc = _random_case(gen)
-        grad = posterior_grad(model, theta)
-        post = posterior(model, theta)
+        post, grad = posterior_grad(model, theta)
         for kind in ALL_ACQ_KINDS:
             analytical = acq_gradient(kind, post, grad, inc)
             if corrupt:

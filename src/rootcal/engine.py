@@ -31,8 +31,7 @@ from .acquisition import (
     select_incumbent,
 )
 from .core import ObservationSummary, ParameterBox, RngStream, aggregate_squared, summarize
-from .kernel import kernel_matrix
-from .metamodel import DegenerateStdError, GpModel, fit, posterior, posterior_grad
+from .metamodel import GpModel, fit, kernel_matrix, posterior, posterior_grad
 from .simulators import RootlessQuadratic, SimulationModel, make_model
 
 __all__ = [
@@ -116,15 +115,20 @@ def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
     return [box.from_unit(u) for u in points]
 
 
-def _check_theta(model: SimulationModel, theta) -> None:
-    """Reject a non-finite or out-of-box theta before any replication is drawn."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not np.all(np.isfinite(theta)):
-        raise ValueError(f"{type(model).__name__}: theta {theta.tolist()} is not finite")
-    if not model.box.contains(theta):
-        raise ValueError(
-            f"{type(model).__name__}: theta {theta.tolist()} is outside the box "
-            f"[{model.box.lower.tolist()}, {model.box.upper.tolist()}]")
+def _draw_checked(model: SimulationModel, theta, gens) -> np.ndarray:
+    """`model.draw_batch(theta, gens)`, rejecting a non-finite or out-of-box
+    theta before drawing and a non-finite draw after."""
+    point = np.atleast_1d(np.asarray(theta, dtype=float))
+    where = f"{type(model).__name__}: theta {point.tolist()}"
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"{where} is not finite")
+    if not model.box.contains(point):
+        raise ValueError(f"{where} is outside the box "
+                         f"[{model.box.lower.tolist()}, {model.box.upper.tolist()}]")
+    draws = model.draw_batch(theta, gens)
+    if not np.all(np.isfinite(draws)):
+        raise ValueError(f"{where} gave a non-finite draw")
+    return draws
 
 
 def evaluate_point(model: SimulationModel, theta, reps: int,
@@ -132,9 +136,8 @@ def evaluate_point(model: SimulationModel, theta, reps: int,
     """Draw `reps` independent residual samples at theta and summarize them."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    _check_theta(model, theta)
     gens = [rng.child(j).generator() for j in range(reps)]
-    return summarize(theta, model.draw_batch(theta, gens))
+    return summarize(theta, _draw_checked(model, theta, gens))
 
 
 def post_evaluate(model: SimulationModel, theta, post_reps: int,
@@ -142,8 +145,7 @@ def post_evaluate(model: SimulationModel, theta, post_reps: int,
     """Fresh estimate of the squared-discrepancy objective with a 95% CI half-width."""
     if post_reps < 2:
         raise ValueError("post_reps must be >= 2")
-    _check_theta(model, theta)
-    vals = aggregate_squared(model.draw_batch(theta, [rng.generator()] * post_reps))
+    vals = aggregate_squared(_draw_checked(model, theta, [rng.generator()] * post_reps))
     ci_half = 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
     return float(vals.mean()), ci_half
 
@@ -187,12 +189,10 @@ def _active_box(model: GpModel, summaries, config: RunConfig,
 def _next_point(model: GpModel, inc: Incumbent, config: RunConfig,
                 active: ParameterBox, rng: RngStream):
     def objective(theta):
-        post = posterior(model, theta)
+        post, grad = posterior_grad(model, theta)
         value = acq_value(config.acq, post, inc)
-        try:
-            grad = acq_gradient(config.acq, post, posterior_grad(model, theta), inc)
-        except DegenerateStdError:
-            grad = None
+        if grad is not None:
+            grad = acq_gradient(config.acq, post, grad, inc)
         return value, grad
 
     theta = optimize(objective, active, OptimizerConfig(), rng,
@@ -217,7 +217,7 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
     model, inc = _fit_surrogate(box, summaries, config)
     rec = summaries[inc.index].theta
     post_mean, ci = post_evaluate(sim, rec, config.post_reps, base.child(_POST, 0))
-    records.append(IterationRecord(0, None, None, model.params.lengthscale,
+    records.append(IterationRecord(0, None, None, model.lengthscale,
                                    np.nan, box.lower, box.upper, rec, post_mean, ci))
 
     for t in range(1, config.budget + 1):
@@ -230,7 +230,7 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
         rec = summaries[inc.index].theta
         post_mean, ci = post_evaluate(sim, rec, config.post_reps,
                                       base.child(_POST, t))
-        records.append(IterationRecord(t, theta, summary, model.params.lengthscale,
+        records.append(IterationRecord(t, theta, summary, model.lengthscale,
                                        value, active.lower, active.upper, rec,
                                        post_mean, ci))
     return CalibrationTrace(config=config, records=records)
@@ -268,7 +268,7 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     v_min = select_incumbent(model, Mode.MIN, stochastic=False)
 
     grid = model.box.to_unit(np.linspace(-1.0, 1.0, 201)[:, None])
-    grid_means = kernel_matrix(grid, model.unit_design, model.params) @ model.alpha
+    grid_means = kernel_matrix(grid, model.unit_design, model.lengthscale) @ model.alpha
     mean_positive = bool(np.all(grid_means > 0.0))
 
     lcb_diff = abs(rf_lcb(post, 1.0) - lcb(post, 1.0))

@@ -1,4 +1,5 @@
-"""Kriging and stochastic-kriging posteriors with log-marginal-likelihood fitting.
+"""Squared-exponential kriging and stochastic-kriging posteriors with
+log-marginal-likelihood fitting.
 
 Inputs are mapped affinely to the unit hypercube before any kernel
 evaluation, so one lengthscale is meaningful across axes with different
@@ -10,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .core import ParameterBox
-from .kernel import KernelParams, kernel_matrix, kernel_vector_grad
 
 __all__ = [
     "GpModel",
@@ -23,6 +23,7 @@ __all__ = [
     "DegenerateStdError",
     "STD_FLOOR",
     "fit",
+    "kernel_matrix",
     "log_marginal_likelihood",
     "posterior",
     "posterior_grad",
@@ -63,23 +64,35 @@ class GpModel:
     design: np.ndarray  # (n, m_theta), original units
     targets: np.ndarray  # (n,)
     noise_diag: np.ndarray  # (n,), all-zero in deterministic mode
-    params: KernelParams
+    lengthscale: float
+    jitter: float  # the jitter actually added after escalation
+    unit_design: np.ndarray  # box.to_unit(design)
     chol: np.ndarray  # lower Cholesky factor of K + Sigma + jitter I
     alpha: np.ndarray  # (K + Sigma + jitter I)^-1 targets
-
-    @property
-    def unit_design(self) -> np.ndarray:
-        return self.box.to_unit(self.design)
 
     @property
     def size(self) -> int:
         return self.design.shape[0]
 
 
+def kernel_matrix(A, B, lengthscale: float) -> np.ndarray:
+    """Pairwise exp(-||A[i] - B[j]||^2 / (2 l^2)); 1-D inputs are single-axis points.
+
+    No jitter is added here; the solver owns the regularized diagonal.
+    """
+    A, B = (np.asarray(X, dtype=float) for X in (A, B))
+    A, B = (X[:, None] if X.ndim == 1 else X for X in (A, B))
+    if A.shape[1] != B.shape[1]:
+        raise ValueError("point dimensions disagree")
+    d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+    return np.exp(-d2 / (2.0 * lengthscale**2))
+
+
 def _system(unit_design, noise_diag, lengthscale) -> np.ndarray:
     """K + Sigma; callers add jitter I to it."""
-    K = kernel_matrix(unit_design, unit_design, KernelParams(lengthscale))
-    return K + np.diag(noise_diag)
+    if not lengthscale > 0:
+        raise ValueError("lengthscale must be positive")
+    return kernel_matrix(unit_design, unit_design, lengthscale) + np.diag(noise_diag)
 
 
 def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
@@ -156,43 +169,51 @@ def fit(box: ParameterBox, design, targets, noise_diag=None) -> GpModel:
 def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
              jitter: float = 1e-10) -> GpModel:
     """Build a model at a fixed lengthscale, escalating jitter x10 up to 1e-4."""
+    if not jitter >= 0:
+        raise ValueError("jitter must be non-negative")
     design = np.atleast_2d(np.asarray(design, dtype=float))
     targets = np.asarray(targets, dtype=float)
     noise_diag = np.asarray(noise_diag, dtype=float)
-    base = _system(box.to_unit(design), noise_diag, lengthscale)
+    unit = box.to_unit(design)
+    base = _system(unit, noise_diag, lengthscale)
     while jitter <= 1e-4:
         try:
             L = np.linalg.cholesky(base + jitter * np.eye(base.shape[0]))
             break
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            jitter = max(10.0 * jitter, 1e-10)  # a zero start escalates too
     else:
         raise ModelFitError("kernel system not positive definite after jitter escalation")
-    return GpModel(box, design, targets, noise_diag, KernelParams(lengthscale, jitter),
+    return GpModel(box, design, targets, noise_diag, lengthscale, jitter, unit,
                    L, cho_solve((L, True), targets))
 
 
-def posterior(model: GpModel, theta) -> Posterior:
+def _kernel_vector(model: GpModel, theta) -> tuple[np.ndarray, np.ndarray]:
+    """theta in unit coordinates and its kernel vector against the design."""
     u = model.box.to_unit(np.atleast_1d(np.asarray(theta, dtype=float)))
-    kvec = kernel_matrix(u[None, :], model.unit_design, model.params)[0]
-    mean = float(kvec @ model.alpha)
+    return u, kernel_matrix(u[None, :], model.unit_design, model.lengthscale)[0]
+
+
+def _posterior_at(model: GpModel, kvec: np.ndarray) -> Posterior:
     w = solve_triangular(model.chol, kvec, lower=True)
-    var = 1.0 - float(w @ w)
-    return Posterior(mean=mean, var=max(var, 0.0))
+    return Posterior(mean=float(kvec @ model.alpha), var=max(1.0 - float(w @ w), 0.0))
 
 
-def posterior_grad(model: GpModel, theta) -> PosteriorGrad:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    u = model.box.to_unit(theta)
-    post = posterior(model, theta)
+def posterior(model: GpModel, theta) -> Posterior:
+    return _posterior_at(model, _kernel_vector(model, theta)[1])
+
+
+def posterior_grad(model: GpModel, theta) -> tuple[Posterior, PosteriorGrad | None]:
+    """The posterior at theta and its gradient, or None where std < STD_FLOOR."""
+    u, kvec = _kernel_vector(model, theta)
+    post = _posterior_at(model, kvec)
     if post.std < STD_FLOOR:
-        raise DegenerateStdError("posterior std below degeneracy floor")
-    kvec = kernel_matrix(u[None, :], model.unit_design, model.params)[0]
-    G = kernel_vector_grad(u, model.unit_design, model.params)  # (m_theta, n)
+        return post, None
+    # Jacobian of the kernel vector in unit coordinates, (m_theta, n)
+    G = -((u[None, :] - model.unit_design) * kvec[:, None]).T / model.lengthscale**2
     # chain rule of the unit-cube mapping back to original units
     scale = 1.0 / model.box.width
     dmean = scale * (G @ model.alpha)
     Kinv_k = cho_solve((model.chol, True), kvec)
     dvar = -2.0 * scale * (G @ Kinv_k)
-    dstd = dvar / (2.0 * post.std)
-    return PosteriorGrad(dmean=dmean, dstd=dstd)
+    return post, PosteriorGrad(dmean=dmean, dstd=dvar / (2.0 * post.std))

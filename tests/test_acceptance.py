@@ -24,10 +24,10 @@ from rootcal.engine import (
     rootless_table,
     run_calibration,
 )
-from rootcal.kernel import KernelParams, kernel_matrix
 from rootcal.metamodel import (
     Posterior,
     fit,
+    kernel_matrix,
     log_marginal_likelihood,
     model_at,
     posterior,
@@ -74,7 +74,7 @@ def test_criterion_2_posterior_correctness():
         # noise-free path
         plain = fit(box, design, targets)
         noisy = fit(box, design, targets, noise)
-        assert plain.params.lengthscale == noisy.params.lengthscale
+        assert plain.lengthscale == noisy.lengthscale
         for _ in range(5):
             x = rng.random(2)
             a, b = posterior(plain, x), posterior(noisy, x)
@@ -86,7 +86,7 @@ def test_criterion_2_posterior_correctness():
         targets = rng.normal(size=6)
         noise = rng.uniform(0, 0.1, 6)
         l = float(rng.uniform(0.2, 1.5))
-        system = (kernel_matrix(design, design, KernelParams(l))
+        system = (kernel_matrix(design, design, l)
                   + np.diag(noise) + 1e-10 * np.eye(6))
         sign, logdet = np.linalg.slogdet(system)
         oracle = (-0.5 * targets @ np.linalg.solve(system, targets)

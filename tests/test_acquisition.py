@@ -109,8 +109,7 @@ class TestGradients:
         for family in Family:
             for mode in Mode:
                 kind = AcqKind(family, mode)
-                grad = acq_gradient(kind, posterior(model, x),
-                                    posterior_grad(model, x), inc)
+                grad = acq_gradient(kind, *posterior_grad(model, x), inc)
                 for axis in range(2):
                     hi, lo = x.copy(), x.copy()
                     hi[axis] += h

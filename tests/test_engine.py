@@ -14,7 +14,7 @@ from rootcal.engine import (
     rootless_table,
     run_calibration,
 )
-from rootcal.simulators import RootlessQuadratic, make_model
+from rootcal.simulators import RootlessQuadratic, SimulationModel, make_model
 
 
 def _config(**kw):
@@ -132,6 +132,31 @@ class TestInputGuard:
             with pytest.raises(ValueError, match=name) as info:
                 call()
             assert str([float(v) for v in theta]) in str(info.value)
+
+    @staticmethod
+    def _assert_both_reject(sim, theta, message):
+        for call in (lambda: evaluate_point(sim, theta, 3, RngStream(0)),
+                     lambda: post_evaluate(sim, theta, 20, RngStream(0))):
+            with pytest.raises(ValueError, match=message) as info:
+                call()
+            assert type(sim).__name__ in str(info.value)
+            assert str([float(v) for v in theta]) in str(info.value)
+
+    def test_non_finite_draw_on_himmelblau_zero_set_rejected(self):
+        # a float root of the Himmelblau discrepancy: the signed log is -inf
+        theta = [1.518610398850043, 0.6938224565045132]
+        self._assert_both_reject(make_model("himmelblau2d", RngStream(0)), theta,
+                                 "non-finite draw")
+
+    def test_non_finite_draw_from_stub_model_rejected(self):
+        class InfModel(SimulationModel):
+            box = ParameterBox([0.0], [1.0])
+            output_dim = 2
+
+            def draw(self, theta, gen):
+                return np.array([gen.random(), np.inf])
+
+        self._assert_both_reject(InfModel(), [0.5], "non-finite draw")
 
     def test_box_edges_accepted(self):
         sim = make_model("sir", RngStream(0))

@@ -1,67 +1,57 @@
 import numpy as np
 import pytest
 
-from rootcal.kernel import KernelParams, kernel_matrix, kernel_vector_grad, rbf
+from rootcal.core import ParameterBox
+from rootcal.metamodel import kernel_matrix, model_at
+
+
+def rbf(a, b, lengthscale):
+    """Oracle: exp(-||a-b||^2 / (2 l^2)) for one pair of points."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    assert a.shape == b.shape
+    d2 = float(np.sum((a - b) ** 2))
+    return float(np.exp(-d2 / (2.0 * lengthscale**2)))
 
 
 class TestRbf:
+    """The squared-exponential kernel, evaluated through kernel_matrix."""
+
     def test_unit_at_zero_distance(self):
-        p = KernelParams(0.7)
-        assert rbf([1.0, 2.0], [1.0, 2.0], p) == 1.0
+        X = np.random.default_rng(0).random((5, 2))
+        assert np.all(np.diag(kernel_matrix(X, X, 0.7)) == 1.0)
 
     def test_hand_value(self):
         # distance 1, lengthscale 1 -> exp(-1/2)
-        p = KernelParams(1.0)
-        assert rbf([0.0], [1.0], p) == pytest.approx(np.exp(-0.5))
+        assert kernel_matrix([[0.0]], [[1.0]], 1.0)[0, 0] == pytest.approx(np.exp(-0.5))
 
     def test_symmetry_and_positivity(self):
-        p = KernelParams(0.3)
-        rng = np.random.default_rng(1)
-        a, b = rng.random(3), rng.random(3)
-        assert rbf(a, b, p) == pytest.approx(rbf(b, a, p))
-        assert 0 < rbf(a, b, p) <= 1
+        X = np.random.default_rng(1).random((4, 3))
+        K = kernel_matrix(X, X, 0.3)
+        assert np.array_equal(K, K.T)
+        assert np.all((K > 0) & (K <= 1))
 
     def test_invalid_lengthscale(self):
+        box = ParameterBox([0.0], [1.0])
         with pytest.raises(ValueError):
-            KernelParams(0.0)
+            model_at(box, [[0.2], [0.8]], [1.0, 2.0], np.zeros(2), lengthscale=0.0)
 
 
 class TestKernelMatrix:
     def test_matches_pairwise_rbf(self):
-        p = KernelParams(0.5)
         rng = np.random.default_rng(2)
         A = rng.random((4, 2))
         B = rng.random((3, 2))
-        K = kernel_matrix(A, B, p)
+        K = kernel_matrix(A, B, 0.5)
         for i in range(4):
             for j in range(3):
-                assert K[i, j] == pytest.approx(rbf(A[i], B[j], p))
+                assert K[i, j] == pytest.approx(rbf(A[i], B[j], 0.5))
 
     def test_gram_is_positive_definite(self):
-        p = KernelParams(0.4)
         X = np.random.default_rng(3).random((6, 2))
-        K = kernel_matrix(X, X, p) + 1e-10 * np.eye(6)
+        K = kernel_matrix(X, X, 0.4) + 1e-10 * np.eye(6)
         assert np.all(np.linalg.eigvalsh(K) > 0)
 
-
-class TestKernelVectorGrad:
-    def test_matches_finite_differences(self):
-        p = KernelParams(0.6)
-        rng = np.random.default_rng(4)
-        design = rng.random((5, 3))
-        theta = rng.random(3)
-        G = kernel_vector_grad(theta, design, p)
-        h = 1e-6
-        for axis in range(3):
-            hi, lo = theta.copy(), theta.copy()
-            hi[axis] += h
-            lo[axis] -= h
-            fd = (kernel_matrix(hi[None, :], design, p)[0]
-                  - kernel_matrix(lo[None, :], design, p)[0]) / (2 * h)
-            assert np.allclose(G[axis], fd, atol=1e-8)
-
-    def test_zero_at_design_point(self):
-        p = KernelParams(1.0)
-        design = np.array([[0.2, 0.8]])
-        G = kernel_vector_grad([0.2, 0.8], design, p)
-        assert np.allclose(G, 0.0)
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            kernel_matrix(np.zeros((2, 2)), np.zeros((3, 3)), 1.0)

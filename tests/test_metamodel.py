@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import cho_solve
+
 from rootcal.core import ParameterBox
-from rootcal.kernel import KernelParams, kernel_matrix
 from rootcal.metamodel import (
-    DegenerateStdError,
     LENGTHSCALE_BOUNDS,
     fit,
+    kernel_matrix,
     log_marginal_likelihood,
     model_at,
     posterior,
@@ -35,13 +36,12 @@ class TestPosterior:
     def test_matches_dense_solve_oracle(self):
         box, design, targets, noise = _random_problem(1, noise_scale=0.1)
         model = model_at(box, design, targets, noise, lengthscale=0.4)
-        params = KernelParams(0.4)
-        K = kernel_matrix(design, design, params)
-        system = K + np.diag(noise) + model.params.jitter * np.eye(len(targets))
+        K = kernel_matrix(design, design, 0.4)
+        system = K + np.diag(noise) + model.jitter * np.eye(len(targets))
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = rng.random(2)
-            k = kernel_matrix(x[None, :], design, params)[0]
+            k = kernel_matrix(x[None, :], design, 0.4)[0]
             mean = k @ np.linalg.solve(system, targets)
             var = 1.0 - k @ np.linalg.solve(system, k)
             post = posterior(model, x)
@@ -61,7 +61,7 @@ class TestLogMarginalLikelihood:
         box, design, targets, noise = _random_problem(3, noise_scale=0.2)
         unit = box.to_unit(design)
         for l in (0.1, 0.5, 2.0):
-            system = (kernel_matrix(unit, unit, KernelParams(l))
+            system = (kernel_matrix(unit, unit, l)
                       + np.diag(noise) + 1e-10 * np.eye(len(targets)))
             sign, logdet = np.linalg.slogdet(system)
             assert sign > 0
@@ -88,7 +88,7 @@ class TestFit:
         targets += rng.normal(0, 1e-4, 12)
         model = fit(box, design, targets)
         lo, hi = LENGTHSCALE_BOUNDS
-        assert lo <= model.params.lengthscale <= hi
+        assert lo <= model.lengthscale <= hi
         # fitted model should track the generating surface closely
         for x in np.linspace(0.1, 0.9, 7):
             want = posterior(true, [x]).mean
@@ -99,9 +99,15 @@ class TestFit:
         model = fit(box, design, targets, noise)
         unit = box.to_unit(design)
         best = log_marginal_likelihood(unit, targets, noise,
-                                       model.params.lengthscale)
+                                       model.lengthscale)
         for l in np.geomspace(*LENGTHSCALE_BOUNDS, 50):
             assert best >= log_marginal_likelihood(unit, targets, noise, l) - 1e-6
+
+    def test_zero_jitter_escalates_on_singular_system(self):
+        box = ParameterBox([0.0], [1.0])
+        model = model_at(box, [[0.5], [0.5]], [1.0, 1.0], np.zeros(2), 1.0, jitter=0.0)
+        assert model.jitter > 0.0
+        assert np.all(np.isfinite(model.alpha))
 
     def test_needs_two_points(self):
         box = ParameterBox([0.0], [1.0])
@@ -119,7 +125,7 @@ class TestPosteriorGrad:
         h = 1e-6
         for _ in range(5):
             x = box.from_unit(rng.random(2))
-            grad = posterior_grad(model, x)
+            _, grad = posterior_grad(model, x)
             for axis in range(2):
                 hi, lo = x.copy(), x.copy()
                 hi[axis] += h
@@ -130,9 +136,37 @@ class TestPosteriorGrad:
                 assert grad.dstd[axis] == pytest.approx(
                     (p_hi.std - p_lo.std) / (2 * h), abs=1e-5)
 
-    def test_degenerate_std_raises(self):
+    def test_none_at_noise_free_design_point(self):
         box = ParameterBox([0.0], [1.0])
         model = model_at(box, [[0.2], [0.8]], [1.0, 2.0], np.zeros(2), 0.5,
                          jitter=0.0)
-        with pytest.raises(DegenerateStdError):
-            posterior_grad(model, [0.2])
+        post, grad = posterior_grad(model, [0.2])
+        assert post == posterior(model, [0.2])
+        assert grad is None
+
+    def test_fused_equals_unfused_reference(self):
+        """The fused pair equals posterior() and the formula that built the
+        kernel vector twice, bit for bit."""
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            dim = int(rng.integers(1, 4))
+            n = int(rng.integers(2, 9))
+            lower = rng.uniform(-3.0, 0.0, dim)
+            box = ParameterBox(lower, lower + rng.uniform(0.5, 4.0, dim))
+            design = box.from_unit(rng.random((n, dim)))
+            model = model_at(box, design, rng.normal(size=n),
+                             rng.uniform(0.0, 0.05, n),
+                             float(np.exp(rng.uniform(np.log(0.1), np.log(2.0)))))
+            for _ in range(5):
+                x = box.from_unit(rng.random(dim))
+                post, grad = posterior_grad(model, x)
+                assert post == posterior(model, x)
+                # reference: the Jacobian rebuilds its own kernel vector
+                u = box.to_unit(x)
+                diff = u[None, :] - model.unit_design
+                kvec = np.exp(-np.sum(diff**2, axis=1) / (2.0 * model.lengthscale**2))
+                G = -(diff * kvec[:, None]).T / model.lengthscale**2
+                scale = 1.0 / box.width
+                dvar = -2.0 * scale * (G @ cho_solve((model.chol, True), kvec))
+                assert np.array_equal(grad.dmean, scale * (G @ model.alpha))
+                assert np.array_equal(grad.dstd, dvar / (2.0 * post.std))
