@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import lapack
 
 from .core import ParameterBox
 
@@ -75,6 +75,24 @@ class GpModel:
         return self.design.shape[0]
 
 
+def _finite(name: str, x) -> np.ndarray:
+    """x as a float array; ValueError naming the value unless every entry is finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {x.tolist()}")
+    return x
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances between the rows of 2-D A and B."""
+    return np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+
+
+def _rbf(d2, lengthscale: float) -> np.ndarray:
+    """The squared-exponential kernel of squared distances d2."""
+    return np.exp(-d2 / (2.0 * lengthscale**2))
+
+
 def kernel_matrix(A, B, lengthscale: float) -> np.ndarray:
     """Pairwise exp(-||A[i] - B[j]||^2 / (2 l^2)); 1-D inputs are single-axis points.
 
@@ -84,8 +102,7 @@ def kernel_matrix(A, B, lengthscale: float) -> np.ndarray:
     A, B = (X[:, None] if X.ndim == 1 else X for X in (A, B))
     if A.shape[1] != B.shape[1]:
         raise ValueError("point dimensions disagree")
-    d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
-    return np.exp(-d2 / (2.0 * lengthscale**2))
+    return _rbf(_sq_dists(A, B), lengthscale)
 
 
 def _system(unit_design, noise_diag, lengthscale) -> np.ndarray:
@@ -95,22 +112,68 @@ def _system(unit_design, noise_diag, lengthscale) -> np.ndarray:
     return kernel_matrix(unit_design, unit_design, lengthscale) + np.diag(noise_diag)
 
 
+def _factor(system) -> np.ndarray | None:
+    """Lower Cholesky factor of system, or None if it is not positive definite."""
+    try:
+        return np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cho_solve(L, b) -> np.ndarray:
+    """(L L')^-1 b by LAPACK potrs; bit-identical to cho_solve((L, True), b)."""
+    x, info = lapack.dpotrs(L, b, lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def _tri_solve(L, b) -> np.ndarray:
+    """L^-1 b for lower-triangular L; bit-identical to solve_triangular(L, b, lower=True).
+
+    The transposed upper form matches the wrapper on a C-ordered L; the
+    direct ``dtrtrs(L, b, lower=1)`` rounds differently.
+    """
+    x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+    return x
+
+
+def _lml(L, targets) -> float:
+    """The log marginal likelihood from the Cholesky factor L of the system; -inf for None."""
+    if L is None:
+        return -np.inf
+    alpha = _cho_solve(L, targets)
+    return float(
+        -0.5 * targets @ alpha - np.sum(np.log(np.diag(L)))
+        - 0.5 * targets.size * np.log(2 * np.pi)
+    )
+
+
 def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
                             jitter: float = 1e-10) -> float:
     """-1/2 f'(K+S)^-1 f - 1/2 log det(K+S) - n/2 log 2pi; -inf if not PD."""
-    unit_design = np.asarray(unit_design, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    n = targets.size
-    system = _system(unit_design, np.asarray(noise_diag, dtype=float), lengthscale)
-    system = system + jitter * np.eye(n)
-    try:
-        L = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    alpha = cho_solve((L, True), targets)
-    return float(
-        -0.5 * targets @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2 * np.pi)
-    )
+    unit_design = _finite("unit_design", unit_design)
+    targets = _finite("targets", targets)
+    _finite("jitter", jitter)
+    system = _system(unit_design, _finite("noise_diag", noise_diag), lengthscale)
+    return _lml(_factor(system + jitter * np.eye(targets.size)), targets)
+
+
+def _grid_lml(unit, targets, noise_diag, grid) -> np.ndarray:
+    """log_marginal_likelihood at each lengthscale of grid, bit for bit.
+
+    The candidates share one distance matrix and one stacked Cholesky
+    factorisation.  Each system is built with kernel_matrix's 2-D
+    expression, since a broadcast exp over the stack rounds differently.
+    """
+    d2, jitter_eye = _sq_dists(unit, unit), 1e-10 * np.eye(targets.size)
+    systems = np.array([_rbf(d2, l) + np.diag(noise_diag) + jitter_eye for l in grid])
+    chols = _factor(systems)
+    if chols is None:  # some candidate is not positive definite
+        chols = [_factor(system) for system in systems]
+    return np.array([_lml(L, targets) for L in chols])
 
 
 def _golden_section(f, lo, hi, rel_tol=1e-4):
@@ -138,16 +201,14 @@ def fit(box: ParameterBox, design, targets, noise_diag=None) -> GpModel:
     The search evaluates 50 log-spaced candidates over LENGTHSCALE_BOUNDS,
     then refines the best one by golden-section search.
     """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    targets = np.asarray(targets, dtype=float)
+    design = np.atleast_2d(_finite("design", design))
+    targets = _finite("targets", targets)
     n = design.shape[0]
     if n < 2:
         raise ValueError("need at least 2 design points to fit")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("targets must be finite")
     if noise_diag is None:
         noise_diag = np.zeros(n)
-    noise_diag = np.asarray(noise_diag, dtype=float)
+    noise_diag = _finite("noise_diag", noise_diag)
     if noise_diag.shape != (n,):
         raise ValueError("noise_diag length must match design size")
 
@@ -157,7 +218,7 @@ def fit(box: ParameterBox, design, targets, noise_diag=None) -> GpModel:
         return log_marginal_likelihood(unit, targets, noise_diag, l)
 
     grid = np.geomspace(*LENGTHSCALE_BOUNDS, 50)
-    vals = np.array([lml(l) for l in grid])
+    vals = _grid_lml(unit, targets, noise_diag, grid)
     if not np.any(np.isfinite(vals)):
         raise ModelFitError("log marginal likelihood is -inf over the whole grid")
     best = int(np.argmax(vals))
@@ -171,31 +232,35 @@ def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
     """Build a model at a fixed lengthscale, escalating jitter x10 up to 1e-4."""
     if not jitter >= 0:
         raise ValueError("jitter must be non-negative")
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    noise_diag = np.asarray(noise_diag, dtype=float)
+    design = np.atleast_2d(_finite("design", design))
+    targets = _finite("targets", targets)
+    noise_diag = _finite("noise_diag", noise_diag)
     unit = box.to_unit(design)
     base = _system(unit, noise_diag, lengthscale)
     while jitter <= 1e-4:
-        try:
-            L = np.linalg.cholesky(base + jitter * np.eye(base.shape[0]))
+        L = _factor(base + jitter * np.eye(base.shape[0]))
+        if L is not None:
             break
-        except np.linalg.LinAlgError:
-            jitter = max(10.0 * jitter, 1e-10)  # a zero start escalates too
+        jitter = max(10.0 * jitter, 1e-10)  # a zero start escalates too
     else:
         raise ModelFitError("kernel system not positive definite after jitter escalation")
     return GpModel(box, design, targets, noise_diag, lengthscale, jitter, unit,
-                   L, cho_solve((L, True), targets))
+                   L, _cho_solve(L, targets))
 
 
 def _kernel_vector(model: GpModel, theta) -> tuple[np.ndarray, np.ndarray]:
-    """theta in unit coordinates and its kernel vector against the design."""
-    u = model.box.to_unit(np.atleast_1d(np.asarray(theta, dtype=float)))
-    return u, kernel_matrix(u[None, :], model.unit_design, model.lengthscale)[0]
+    """theta minus each design point in unit coordinates, (n, m_theta), and the
+    kernel vector against the design."""
+    u = model.box.to_unit(np.atleast_1d(_finite("theta", theta)))
+    if u.shape != model.unit_design.shape[1:]:
+        raise ValueError(f"theta {np.asarray(theta).tolist()} does not match the "
+                         f"model's {model.box.dim} axes")
+    diff = u - model.unit_design
+    return diff, _rbf(np.sum(diff**2, axis=-1), model.lengthscale)
 
 
 def _posterior_at(model: GpModel, kvec: np.ndarray) -> Posterior:
-    w = solve_triangular(model.chol, kvec, lower=True)
+    w = _tri_solve(model.chol, kvec)
     return Posterior(mean=float(kvec @ model.alpha), var=max(1.0 - float(w @ w), 0.0))
 
 
@@ -205,15 +270,15 @@ def posterior(model: GpModel, theta) -> Posterior:
 
 def posterior_grad(model: GpModel, theta) -> tuple[Posterior, PosteriorGrad | None]:
     """The posterior at theta and its gradient, or None where std < STD_FLOOR."""
-    u, kvec = _kernel_vector(model, theta)
+    diff, kvec = _kernel_vector(model, theta)
     post = _posterior_at(model, kvec)
     if post.std < STD_FLOOR:
         return post, None
     # Jacobian of the kernel vector in unit coordinates, (m_theta, n)
-    G = -((u[None, :] - model.unit_design) * kvec[:, None]).T / model.lengthscale**2
+    G = -(diff * kvec[:, None]).T / model.lengthscale**2
     # chain rule of the unit-cube mapping back to original units
     scale = 1.0 / model.box.width
     dmean = scale * (G @ model.alpha)
-    Kinv_k = cho_solve((model.chol, True), kvec)
+    Kinv_k = _cho_solve(model.chol, kvec)
     dvar = -2.0 * scale * (G @ Kinv_k)
     return post, PosteriorGrad(dmean=dmean, dstd=dvar / (2.0 * post.std))

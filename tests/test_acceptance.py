@@ -153,6 +153,7 @@ def test_criterion_4_rss_hand_cases():
     assert time.monotonic() - start < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_5_rootless_acquisition_gaps():
     start = time.monotonic()
     sizes = (5, 9, 13, 17, 21)
@@ -181,6 +182,7 @@ def test_criterion_5_rootless_acquisition_gaps():
     assert time.monotonic() - start < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_6_himmelblau_directional_result():
     start = time.monotonic()
     configs = [
@@ -221,6 +223,7 @@ def _sir_oracle_gap(rep):
     return abs(recommended - grid[int(np.argmin(scores))])
 
 
+@pytest.mark.slow
 def test_criterion_7_queue_and_epidemic_sanity():
     start = time.monotonic()
 

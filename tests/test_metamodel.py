@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from rootcal.core import ParameterBox
 from rootcal.metamodel import (
     LENGTHSCALE_BOUNDS,
+    _cho_solve,
+    _golden_section,
+    _grid_lml,
+    _kernel_vector,
+    _tri_solve,
     fit,
     kernel_matrix,
     log_marginal_likelihood,
@@ -170,3 +175,124 @@ class TestPosteriorGrad:
                 dvar = -2.0 * scale * (G @ cho_solve((model.chol, True), kvec))
                 assert np.array_equal(grad.dmean, scale * (G @ model.alpha))
                 assert np.array_equal(grad.dstd, dvar / (2.0 * post.std))
+
+
+class TestNonFiniteInputs:
+    """Non-finite inputs raise ValueError at the public entry points."""
+
+    @pytest.mark.parametrize("theta", [[np.inf, 0.5], [0.3, -np.inf]])
+    def test_infinite_theta_raises_naming_theta(self, theta):
+        box, design, targets, noise = _random_problem(8, noise_scale=0.1)
+        model = model_at(box, design, targets, noise, 0.4)
+        for call in (posterior, posterior_grad):
+            with pytest.raises(ValueError) as info:
+                call(model, theta)
+            assert str([float(v) for v in theta]) in str(info.value)
+
+    def test_nan_theta_raises(self):
+        box, design, targets, noise = _random_problem(8, noise_scale=0.1)
+        model = model_at(box, design, targets, noise, 0.4)
+        with pytest.raises(ValueError):
+            posterior(model, [np.nan, 0.5])
+
+    @pytest.mark.parametrize("which, value", [
+        ("targets", np.nan), ("noise", np.nan), ("noise", np.inf)])
+    def test_model_at_and_lml_reject(self, which, value):
+        box, design, targets, noise = _random_problem(9, noise_scale=0.1)
+        targets, noise = targets.copy(), noise.copy()
+        (targets if which == "targets" else noise)[2] = value
+        with pytest.raises(ValueError):
+            model_at(box, design, targets, noise, 0.4)
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(box.to_unit(design), targets, noise, 0.4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_fit_rejects_non_finite_noise(self, value):
+        box, design, targets, noise = _random_problem(10, noise_scale=0.1)
+        noise = noise.copy()
+        noise[3] = value
+        with pytest.raises(ValueError):
+            fit(box, design, targets, noise)
+
+
+def _spd(rng, n):
+    A = rng.normal(size=(n, n))
+    return A @ A.T + n * np.eye(n)
+
+
+def test_solves_equal_scipy_wrappers():
+    """The direct LAPACK calls equal the scipy wrappers bit for bit."""
+    rng = np.random.default_rng(11)
+    for n in range(2, 25):
+        for _ in range(5):
+            L = np.linalg.cholesky(_spd(rng, n))
+            b = rng.normal(size=n)
+            assert np.array_equal(_cho_solve(L, b), cho_solve((L, True), b))
+            assert np.array_equal(_tri_solve(L, b), solve_triangular(L, b, lower=True))
+
+
+def _reference_fit(box, design, targets, noise):
+    """fit() as one log_marginal_likelihood call per grid candidate."""
+    unit = box.to_unit(np.atleast_2d(design))
+
+    def lml(l):
+        return log_marginal_likelihood(unit, targets, noise, l)
+
+    grid = np.geomspace(*LENGTHSCALE_BOUNDS, 50)
+    vals = np.array([lml(l) for l in grid])
+    best = int(np.argmax(vals))
+    l = _golden_section(lml, grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)])
+    return model_at(box, design, targets, noise, l), vals
+
+
+class TestFitEqualsReference:
+    def _assert_same(self, box, design, targets, noise):
+        got = fit(box, design, targets, noise)
+        want, vals = _reference_fit(box, design, np.asarray(targets, dtype=float),
+                                    np.asarray(noise, dtype=float))
+        assert got.lengthscale == want.lengthscale
+        assert got.jitter == want.jitter
+        assert np.array_equal(got.chol, want.chol)
+        assert np.array_equal(got.alpha, want.alpha)
+        # the argmax rarely exposes a last-bit change, so compare every value
+        unit = box.to_unit(np.atleast_2d(design))
+        assert np.array_equal(
+            _grid_lml(unit, np.asarray(targets, dtype=float), np.asarray(noise, dtype=float),
+                      np.geomspace(*LENGTHSCALE_BOUNDS, 50)), vals)
+        return vals
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            dim = int(rng.integers(1, 4))
+            n = int(rng.integers(2, 13))
+            lower = rng.uniform(-3.0, 0.0, dim)
+            box = ParameterBox(lower, lower + rng.uniform(0.5, 4.0, dim))
+            noise = rng.uniform(0.0, 0.05, n) if rng.random() < 0.5 else np.zeros(n)
+            vals = self._assert_same(box, box.from_unit(rng.random((n, dim))),
+                                     rng.normal(size=n), noise)
+            assert np.all(np.isfinite(vals))
+
+    def test_grid_mixing_finite_and_neg_inf(self):
+        # a negative noise entry leaves the short-lengthscale systems positive
+        # definite and the long ones not, so the stacked factorisation fails
+        # and each candidate is factored on its own
+        vals = self._assert_same(ParameterBox([0.0], [1.0]), [[0.1], [0.5], [0.9]],
+                                 [0.3, -0.2, 0.5], [0.0, -0.5, 0.0])
+        assert np.sum(np.isfinite(vals)) == 19
+        assert np.sum(vals == -np.inf) == 31
+
+
+def test_kernel_vector_equals_kernel_matrix_row():
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        dim = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 10))
+        lower = rng.uniform(-3.0, 0.0, dim)
+        box = ParameterBox(lower, lower + rng.uniform(0.5, 4.0, dim))
+        model = model_at(box, box.from_unit(rng.random((n, dim))), rng.normal(size=n),
+                         np.full(n, 0.01), float(np.exp(rng.uniform(-3.0, 1.0))))
+        theta = box.from_unit(rng.random(dim))
+        want = kernel_matrix(box.to_unit(theta)[None], model.unit_design,
+                             model.lengthscale)[0]
+        assert np.array_equal(_kernel_vector(model, theta)[1], want)
