@@ -135,8 +135,10 @@ def _tri_solve(L, b) -> np.ndarray:
     direct ``dtrtrs(L, b, lower=1)`` rounds differently.
     """
     x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero at diagonal {info - 1} of L")
     return x
 
 
@@ -164,16 +166,13 @@ def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
 def _grid_lml(unit, targets, noise_diag, grid) -> np.ndarray:
     """log_marginal_likelihood at each lengthscale of grid, bit for bit.
 
-    The candidates share one distance matrix and one stacked Cholesky
-    factorisation.  Each system is built with kernel_matrix's 2-D
-    expression, since a broadcast exp over the stack rounds differently.
+    The candidates share one distance matrix.  Each system is built with
+    kernel_matrix's 2-D expression, since a broadcast exp over a stack of
+    candidates rounds differently.
     """
     d2, jitter_eye = _sq_dists(unit, unit), 1e-10 * np.eye(targets.size)
-    systems = np.array([_rbf(d2, l) + np.diag(noise_diag) + jitter_eye for l in grid])
-    chols = _factor(systems)
-    if chols is None:  # some candidate is not positive definite
-        chols = [_factor(system) for system in systems]
-    return np.array([_lml(L, targets) for L in chols])
+    return np.array([_lml(_factor(_rbf(d2, l) + np.diag(noise_diag) + jitter_eye), targets)
+                     for l in grid])
 
 
 def _golden_section(f, lo, hi, rel_tol=1e-4):

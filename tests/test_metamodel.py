@@ -206,6 +206,16 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             log_marginal_likelihood(box.to_unit(design), targets, noise, 0.4)
 
+    @pytest.mark.parametrize("which", ["targets", "unit_design"])
+    def test_lml_rejects_nan_where_system_is_not_pd(self, which):
+        # the factorisation stops at the negative pivot before any solve sees
+        # a NaN target, and a NaN design point gives a NaN factor that dpotrs
+        # does not check, so only the explicit checks catch these
+        unit, targets = np.array([[0.1], [0.5], [0.9]]), np.array([0.3, -0.2, 0.5])
+        (targets if which == "targets" else unit)[1] = np.nan
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(unit, targets, [0.0, -5.0, 0.0], 0.3)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_fit_rejects_non_finite_noise(self, value):
         box, design, targets, noise = _random_problem(10, noise_scale=0.1)
@@ -229,6 +239,13 @@ def test_solves_equal_scipy_wrappers():
             b = rng.normal(size=n)
             assert np.array_equal(_cho_solve(L, b), cho_solve((L, True), b))
             assert np.array_equal(_tri_solve(L, b), solve_triangular(L, b, lower=True))
+
+
+def test_tri_solve_raises_like_solve_triangular_on_singular_factor():
+    L = np.array([[1.0, 0.0], [0.5, 0.0]])
+    for solve in (_tri_solve, lambda L, b: solve_triangular(L, b, lower=True)):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(L, np.ones(2))
 
 
 def _reference_fit(box, design, targets, noise):
@@ -275,8 +292,8 @@ class TestFitEqualsReference:
 
     def test_grid_mixing_finite_and_neg_inf(self):
         # a negative noise entry leaves the short-lengthscale systems positive
-        # definite and the long ones not, so the stacked factorisation fails
-        # and each candidate is factored on its own
+        # definite and the long ones not, so the grid must give -inf for a
+        # candidate that does not factor and carry on to the next
         vals = self._assert_same(ParameterBox([0.0], [1.0]), [[0.1], [0.5], [0.9]],
                                  [0.3, -0.2, 0.5], [0.0, -0.5, 0.0])
         assert np.sum(np.isfinite(vals)) == 19
