@@ -72,8 +72,11 @@ class Incumbent:
     value: float
 
 
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
 def _phi(z):
-    return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def _Phi(z):

@@ -8,6 +8,7 @@ units.  Posterior gradients are reported in original parameter units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class Posterior:
 
     @property
     def std(self) -> float:
-        return float(np.sqrt(self.var))
+        return math.sqrt(self.var)
 
 
 @dataclass(frozen=True)

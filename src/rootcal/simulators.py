@@ -6,14 +6,19 @@ Each model exposes a parameter box, an output dimension,
 ``gen`` is a ``numpy.random.Generator``.  Row ``i`` of a batch is drawn from
 ``gens[i]``, rows in order, so it is bit-identical to ``draw(theta, gens[i])``
 called in the same sequence; a generator may appear in several rows.  A model
-implements one of the two and inherits the other.  The queueing and epidemic
-models hold one fixed synthetic observation, generated from a dedicated stream
-at the true parameter, and return observation-minus-simulation residuals.
+implements one of the two and inherits the other.  M/M/1, Himmelblau and the
+rootless quadratic implement ``draw_batch``: each run of consecutive rows that
+share one generator is one sized numpy draw, which consumes the bit stream
+exactly as the same number of scalar draws.  The SIR model implements ``draw``
+and is drawn row by row.  The queueing and epidemic models hold one fixed
+synthetic observation, generated from a dedicated stream at the true
+parameter, and return observation-minus-simulation residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -49,6 +54,12 @@ class SimulationModel:
         return np.array([self.draw(theta, gen) for gen in gens])
 
 
+def _runs(gens):
+    """``(generator, rows)`` for each run of consecutive rows sharing a generator."""
+    for _, run in groupby(gens, key=id):
+        yield next(run), 1 + sum(1 for _ in run)
+
+
 def himmelblau_signed(theta) -> float:
     """log2((t1^2 + t2 - 3)^2 + (t1 + t2^2 - 2)^2) - 1; -inf on the zero set."""
     t1, t2 = float(theta[0]), float(theta[1])
@@ -67,10 +78,13 @@ class Himmelblau2D(SimulationModel):
     )
     output_dim: int = 1
 
-    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
+    def draw_batch(self, theta, gens) -> np.ndarray:
         f = himmelblau_signed(theta)
-        noise = gen.normal(0.0, np.sqrt(abs(f)))
-        return np.array([f + noise])
+        sd = np.sqrt(abs(f))
+        noise = np.concatenate([gen.normal(0.0, sd, rows) for gen, rows in _runs(gens)])
+        # on the zero set f is -inf and the noise +-inf; the engine rejects the nan
+        with np.errstate(invalid="ignore"):
+            return (f + noise)[:, None]
 
 
 def mm1_sojourn_batch(arrival_rate: float, service_rate: float,
@@ -78,14 +92,19 @@ def mm1_sojourn_batch(arrival_rate: float, service_rate: float,
     """Per-entity sojourn times of a single FIFO server via the Lindley recursion.
 
     Row ``i`` holds the inter-arrival then the service draws of ``gens[i]``,
-    and the recursion runs once over entities, across all rows.  The sojourns
-    overwrite the inter-arrival array, which is returned.
+    each run of rows sharing a generator filled by one standard-exponential
+    draw and scaled in place, as ``exponential(scale)`` scales element by
+    element.  The recursion runs once over entities, across all rows.  The
+    sojourns overwrite the inter-arrival half, which is returned.
     """
-    times = np.empty((len(gens), n_entities))
-    services = np.empty_like(times)
-    for row, gen in enumerate(gens):
-        times[row] = gen.exponential(1.0 / arrival_rate, n_entities)
-        services[row] = gen.exponential(1.0 / service_rate, n_entities)
+    draws = np.empty((len(gens), 2, n_entities))
+    start = 0
+    for gen, rows in _runs(gens):
+        gen.standard_exponential(out=draws[start:start + rows])
+        start += rows
+    times, services = draws[:, 0], draws[:, 1]
+    times *= 1.0 / arrival_rate
+    services *= 1.0 / service_rate
     wait = np.zeros(len(gens))
     for k in range(n_entities):
         if k > 0:
@@ -214,9 +233,11 @@ class RootlessQuadratic(SimulationModel):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
-    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
+    def draw_batch(self, theta, gens) -> np.ndarray:
         value = float(theta[0]) ** 2 + self.eps
-        return np.array([value + gen.normal(0.0, self.noise_std)])
+        noise = np.concatenate([gen.normal(0.0, self.noise_std, rows)
+                                for gen, rows in _runs(gens)])
+        return (value + noise)[:, None]
 
 
 def make_model(problem: str, obs_rng: RngStream, params: dict | None = None) -> SimulationModel:

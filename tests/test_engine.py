@@ -15,6 +15,7 @@ from rootcal.engine import (
     run_calibration,
 )
 from rootcal.simulators import RootlessQuadratic, SimulationModel, make_model
+from test_simulators import scalar_draw
 
 
 def _config(**kw):
@@ -76,7 +77,7 @@ class TestEvaluation:
 
 def _evaluate_reference(model, theta, reps, rng):
     """Scalar loop: one draw and one pair of aggregates per replication."""
-    rows = [model.draw(theta, rng.child(j).generator()) for j in range(reps)]
+    rows = [scalar_draw(model, theta, rng.child(j).generator()) for j in range(reps)]
     signed = np.array([float(np.mean(r)) for r in rows])
     squared = np.array([float(np.mean(r**2)) for r in rows])
 
@@ -89,7 +90,7 @@ def _evaluate_reference(model, theta, reps, rng):
 
 def _post_reference(model, theta, post_reps, rng):
     gen = rng.generator()
-    vals = np.array([float(np.mean(model.draw(theta, gen) ** 2))
+    vals = np.array([float(np.mean(scalar_draw(model, theta, gen) ** 2))
                      for _ in range(post_reps)])
     return float(vals.mean()), 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
 

@@ -16,8 +16,19 @@ from rootcal.simulators import (
 )
 
 
-# Scalar references: the per-entity Lindley loop and the per-infected contact
-# loop that the batched and chunked simulators must reproduce bit for bit.
+# Scalar references: one scalar draw per row, the per-entity Lindley loop and
+# the per-infected contact loop, which the batched and chunked simulators must
+# reproduce bit for bit.
+def himmelblau_reference(theta, gen):
+    f = himmelblau_signed(theta)
+    return np.array([f + gen.normal(0.0, np.sqrt(abs(f)))])
+
+
+def rootless_reference(model, theta, gen):
+    value = float(theta[0]) ** 2 + model.eps
+    return np.array([value + gen.normal(0.0, model.noise_std)])
+
+
 def lindley_reference(arrival_rate, service_rate, n_entities, gen):
     interarrivals = gen.exponential(1.0 / arrival_rate, n_entities)
     services = gen.exponential(1.0 / service_rate, n_entities)
@@ -59,6 +70,21 @@ def sir_reference(infection_prob, gen, population=100, initial_infected=10,
     return out, loop_days
 
 
+def scalar_draw(model, theta, gen):
+    """One residual row of `model` at theta, drawn by the scalar reference."""
+    if isinstance(model, Himmelblau2D):
+        return himmelblau_reference(theta, gen)
+    if isinstance(model, RootlessQuadratic):
+        return rootless_reference(model, theta, gen)
+    if isinstance(model, Mm1Queue):
+        return model.observed - lindley_reference(
+            float(theta[0]), model.service_rate, model.output_dim, gen)
+    if isinstance(model, StochasticSir):
+        p = min(max(float(theta[0]), 0.0), 1.0)
+        return model.observed - sir_reference(p, gen)[0]
+    raise TypeError(f"no scalar reference for {type(model).__name__}")
+
+
 class TestHimmelblau:
     def test_signed_hand_values(self):
         # at (1, 1): (1 + 1 - 3)^2 + (1 + 1 - 2)^2 = 1, log2(1) - 1 = -1
@@ -93,13 +119,15 @@ class TestMm1:
             def __init__(self):
                 self.calls = 0
 
-            def exponential(self, scale, n):
+            def standard_exponential(self, out):
+                # unit-mean draws; the rates 2 and 4 scale them to
+                # interarrivals [0.5, 1.0, 0.2] and services [0.8, 0.4, 0.6]
                 self.calls += 1
-                if self.calls == 1:
-                    return np.array([0.5, 1.0, 0.2])  # interarrivals
-                return np.array([0.8, 0.4, 0.6])  # services
+                out[...] = [[[1.0, 2.0, 0.4], [3.2, 1.6, 2.4]]]
 
-        sojourn = mm1_sojourn_times(2.0, 4.0, 3, FakeGen())
+        gen = FakeGen()
+        sojourn = mm1_sojourn_times(2.0, 4.0, 3, gen)
+        assert gen.calls == 1
         # waits: w1 = 0; w2 = max(0, 0 + 0.8 - 1.0) = 0; w3 = max(0, 0 + 0.4 - 0.2) = 0.2
         assert np.allclose(sojourn, [0.8, 0.4, 0.8])
 
@@ -215,7 +243,22 @@ class TestDrawBatch:
         batch = sim.draw_batch(theta, gens)
         assert batch.shape == (reps, sim.output_dim)
         for row, twin in zip(batch, twins):
-            assert np.array_equal(row, sim.draw(theta, twin))
+            assert np.array_equal(row, scalar_draw(sim, theta, twin))
+        for gen, twin in zip(gens, twins):
+            assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("problem,theta", [
+        ("mm1", [2.0]), ("mm1", [6.0]), ("mm1", [9.7]),
+        ("himmelblau2d", [0.5, -1.0]), ("rootless", [0.3])])
+    @pytest.mark.parametrize("pattern", [[0, 0, 1, 0, 0, 0], [2, 2, 1, 1, 0, 0, 2]])
+    def test_mixed_runs_equal_scalar_reference(self, problem, theta, pattern):
+        # a generator's rows split into several runs, with other rows between
+        sim = make_model(problem, RngStream(4))
+        gens, twins = _twins(60, 3)
+        batch = sim.draw_batch(theta, [gens[k] for k in pattern])
+        assert batch.shape == (len(pattern), sim.output_dim)
+        for row, k in zip(batch, pattern):
+            assert np.array_equal(row, scalar_draw(sim, theta, twins[k]))
         for gen, twin in zip(gens, twins):
             assert gen.random() == twin.random()
 
