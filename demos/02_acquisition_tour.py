@@ -13,7 +13,6 @@ from rootcal import (
     AcqKind,
     Family,
     Mode,
-    OptimizerConfig,
     ParameterBox,
     RngStream,
     acq_value,
@@ -49,8 +48,7 @@ def main():
                 return value, grad
 
             vals = [acq_value(kind, posterior(model, [g]), inc) for g in grid]
-            best = optimize(objective, box, OptimizerConfig(), RngStream(1),
-                            maximize=kind.maximize)
+            best = optimize(objective, box, RngStream(1), maximize=kind.maximize)
             name = f"{mode.value}-{family.value}"
             line = "  ".join(f"{v:6.3f}" for v in vals)
             print(f"{name:>8}: {line}   -> next point {best[0]:.4f}")

@@ -6,7 +6,7 @@ the search box to sign-changing subregions, and ships the benchmark
 simulators plus a reproducible experiment runner.
 """
 
-from .acqopt import OptimizerConfig, optimize
+from .acqopt import optimize
 from .acquisition import (
     AcqKind,
     Family,
@@ -70,7 +70,6 @@ __all__ = [
     "Mode",
     "OBS_KEY",
     "ObservationSummary",
-    "OptimizerConfig",
     "ParameterBox",
     "Posterior",
     "RngStream",

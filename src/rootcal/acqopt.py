@@ -8,29 +8,19 @@ that local search at the limit-form value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ParameterBox, RngStream
 
-__all__ = ["OptimizerConfig", "OptimizationError", "optimize"]
+__all__ = ["OptimizationError", "optimize"]
 
 INITIAL_STEP = 1.0
 SHRINK = 0.5  # line-search step factor
 SUFFICIENT_DECREASE = 1e-4  # Armijo constant
 CONVERGENCE_TOL = 1e-8  # on the projected gradient norm
 MEMORY = 5  # L-BFGS history length
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    starts: int = 10
-    iters: int = 10
-
-    def __post_init__(self):
-        if self.starts < 1 or self.iters < 1:
-            raise ValueError("starts and iters must be >= 1")
+STARTS = 10  # uniform random starts per optimisation
+ITERS = 10  # quasi-Newton iterations per start
 
 
 class OptimizationError(RuntimeError):
@@ -66,13 +56,13 @@ def _lbfgs_direction(grad, s_hist, y_hist):
     return -q
 
 
-def _local_search(f, x0, lower, upper, iters: int):
+def _local_search(f, x0, lower, upper):
     x = np.clip(x0, lower, upper)
     val, grad = f(x)
     if not np.isfinite(val):
         return x, val
     s_hist, y_hist = [], []
-    for _ in range(iters):
+    for _ in range(ITERS):
         if grad is None:
             break
         proj_grad = np.clip(x - grad, lower, upper) - x
@@ -103,9 +93,9 @@ def _local_search(f, x0, lower, upper, iters: int):
     return x, val
 
 
-def optimize(objective, box: ParameterBox, cfg: OptimizerConfig, rng: RngStream,
+def optimize(objective, box: ParameterBox, rng: RngStream,
              maximize: bool = False) -> np.ndarray:
-    """Best point over `cfg.starts` local searches from uniform random starts.
+    """Best point over `STARTS` local searches from uniform random starts.
 
     `objective(theta) -> (value, grad_or_None)`.  Both the value at each
     start and at each line-search trial count toward the reduction, so the
@@ -121,9 +111,9 @@ def optimize(objective, box: ParameterBox, cfg: OptimizerConfig, rng: RngStream,
         return sign * val, sign * np.asarray(grad, dtype=float)
 
     best_x, best_val = None, np.inf
-    for _ in range(cfg.starts):
+    for _ in range(STARTS):
         x0 = box.lower + gen.random(box.dim) * box.width
-        x, val = _local_search(f, x0, box.lower, box.upper, cfg.iters)
+        x, val = _local_search(f, x0, box.lower, box.upper)
         if np.isfinite(val) and (
             val < best_val
             or (val == best_val and best_x is not None and tuple(x) < tuple(best_x))

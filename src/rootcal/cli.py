@@ -117,6 +117,11 @@ def load_config(path: str) -> dict:
     return raw
 
 
+# config keys that override RunConfig's protocol defaults
+_PROTOCOL_KEYS = ("p_init", "budget", "reps_per_point", "alpha", "theta_floor",
+                  "post_reps")
+
+
 def _method_config(method: dict, cfg: dict) -> RunConfig:
     acq = AcqKind(
         family=Family(method["acq"]),
@@ -128,13 +133,8 @@ def _method_config(method: dict, cfg: dict) -> RunConfig:
         stochastic=method["surrogate"] == "stochastic",
         acq=acq,
         use_rss=method["rss"],
-        p_init=cfg.get("p_init", 2),
-        budget=cfg.get("budget", 10),
-        reps_per_point=cfg.get("reps_per_point", 10),
-        alpha=cfg.get("alpha", 0.95),
-        theta_floor=cfg.get("theta_floor", 1e-8),
-        post_reps=cfg.get("post_reps", 1000),
         seed=cfg["seed"],
+        **{key: cfg[key] for key in _PROTOCOL_KEYS if key in cfg},
     )
 
 

@@ -15,6 +15,8 @@ __all__ = [
     "summarize",
 ]
 
+CONTAINS_ATOL = 1e-12  # ParameterBox.contains tolerance on each bound
+
 
 @dataclass(frozen=True)
 class ParameterBox:
@@ -43,14 +45,10 @@ class ParameterBox:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, theta, atol: float = 1e-12) -> bool:
+    def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float)
-        return bool(
-            np.all(theta >= self.lower - atol) and np.all(theta <= self.upper + atol)
-        )
-
-    def clip(self, theta) -> np.ndarray:
-        return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
+        return bool(np.all(theta >= self.lower - CONTAINS_ATOL)
+                    and np.all(theta <= self.upper + CONTAINS_ATOL))
 
     def to_unit(self, theta) -> np.ndarray:
         """Affine map of box coordinates onto the unit hypercube."""

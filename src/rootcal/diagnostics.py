@@ -15,7 +15,7 @@ from .acquisition import (
     acq_gradient,
     acq_value,
 )
-from .core import ParameterBox, RngStream, aggregate_signed
+from .core import ParameterBox, RngStream, aggregate_signed, aggregate_squared
 from .metamodel import model_at, posterior, posterior_grad
 
 __all__ = [
@@ -51,39 +51,39 @@ class GapReport:
         return a >= b - 1e-10 and b >= c - 1e-10
 
 
-def spatial_variability(samples) -> float:
-    """Mean over samples of the within-sample variance of residual components."""
+def _rows(samples) -> np.ndarray:
+    """Residual samples as one ``(reps, m)`` array, one row per sample."""
     if len(samples) == 0:
         raise ValueError("at least one residual sample required")
-    vals = []
-    for s in samples:
-        s = np.asarray(s, dtype=float)
-        vals.append(float(np.mean((s - s.mean()) ** 2)))
-    return float(np.mean(vals))
+    return np.asarray(samples, dtype=float).reshape(len(samples), -1)
+
+
+def spatial_variability(samples) -> float:
+    """Mean over samples of the within-sample variance of residual components.
+
+    Samples may differ in length, so each sample's variance is taken on its own.
+    """
+    if len(samples) == 0:
+        raise ValueError("at least one residual sample required")
+    return float(np.mean([np.var(s) for s in samples]))
 
 
 def aggregate_variance(samples) -> float:
     """Unbiased sample variance of the signed aggregate across samples."""
     if len(samples) < 2:
         raise ValueError("at least two residual samples required")
-    signed = np.array([aggregate_signed(s) for s in samples])
-    return float(signed.var(ddof=1))
+    return float(aggregate_signed(_rows(samples)).var(ddof=1))
 
 
 def chain_check(samples) -> GapReport:
     """Evaluate the loss chain; ordering violations are reported, not raised."""
-    if len(samples) == 0:
-        raise ValueError("at least one residual sample required")
-    arrays = [np.asarray(s, dtype=float) for s in samples]
-    signed = np.array([aggregate_signed(a) for a in arrays])
-    mean_sq_norm = float(np.mean([np.mean(a**2) for a in arrays]))
-    mean_s_sq = float(np.mean(signed**2))
-    sq_mean_s = float(signed.mean() ** 2)
-    agg_var = aggregate_variance(samples) if len(samples) >= 2 else 0.0
+    rows = _rows(samples)
+    signed = aggregate_signed(rows)
     return GapReport(
-        spatial_variability=spatial_variability(samples),
-        aggregate_variance=agg_var,
-        chain=(mean_sq_norm, mean_s_sq, sq_mean_s),
+        spatial_variability=spatial_variability(rows),
+        aggregate_variance=float(signed.var(ddof=1)) if len(rows) >= 2 else 0.0,
+        chain=(float(aggregate_squared(rows).mean()), float(np.mean(signed**2)),
+               float(signed.mean() ** 2)),
     )
 
 

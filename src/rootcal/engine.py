@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from . import rss as rss_mod
-from .acqopt import OptimizerConfig, optimize
+from .acqopt import optimize
 from .acquisition import (
     AcqKind,
     Incumbent,
@@ -51,6 +51,8 @@ __all__ = [
 _OBS, _INIT, _SIM, _ACQ, _POST = 0, 1, 2, 3, 4
 
 OBS_KEY = _OBS
+
+ROOTLESS_REPS = 10  # replications per design point in rootless_differences
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,7 @@ def _next_point(model: GpModel, inc: Incumbent, config: RunConfig,
             grad = acq_gradient(config.acq, post, grad, inc)
         return value, grad
 
-    theta = optimize(objective, active, OptimizerConfig(), rng,
-                     maximize=config.acq.maximize)
+    theta = optimize(objective, active, rng, maximize=config.acq.maximize)
     value = acq_value(config.acq, posterior(model, theta), inc)
     return theta, value
 
@@ -214,18 +215,15 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
         )
 
     records = []
-    model, inc = _fit_surrogate(box, summaries, config)
-    rec = summaries[inc.index].theta
-    post_mean, ci = post_evaluate(sim, rec, config.post_reps, base.child(_POST, 0))
-    records.append(IterationRecord(0, None, None, model.lengthscale,
-                                   np.nan, box.lower, box.upper, rec, post_mean, ci))
-
-    for t in range(1, config.budget + 1):
-        active = _active_box(model, summaries, config, box)
-        theta, value = _next_point(model, inc, config, active, base.child(_ACQ, t))
-        summary = evaluate_point(sim, theta, config.reps_per_point,
-                                 base.child(_SIM, config.p_init + t - 1))
-        summaries.append(summary)
+    theta = summary = None
+    value, active = np.nan, box
+    for t in range(config.budget + 1):
+        if t > 0:
+            active = _active_box(model, summaries, config, box)
+            theta, value = _next_point(model, inc, config, active, base.child(_ACQ, t))
+            summary = evaluate_point(sim, theta, config.reps_per_point,
+                                     base.child(_SIM, config.p_init + t - 1))
+            summaries.append(summary)
         model, inc = _fit_surrogate(box, summaries, config)
         rec = summaries[inc.index].theta
         post_mean, ci = post_evaluate(sim, rec, config.post_reps,
@@ -237,7 +235,7 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
 
 
 def rootless_differences(eps: float, design_size: int, seed: int,
-                         rep: int = 0, reps_per_point: int = 10) -> dict:
+                         rep: int = 0) -> dict:
     """Root-finding vs standard acquisition gap on a sign-constant objective.
 
     Fits a noise-aware surrogate to signed means over `design_size` uniformly
@@ -248,7 +246,8 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     difference (it is 0 once the predictive mean is one-sided), the PI gap is
     the exact difference Phi((-|v| - mu) / sigma) reported on the log scale
     (it underflows to 0 in linear arithmetic), and the EI gap is measured
-    against 2 EI - 2 sigma phi(0).
+    against 2 EI - 2 sigma phi(0).  Each design point gets `ROOTLESS_REPS`
+    replications.
     """
     if design_size < 2:
         raise ValueError("design_size must be >= 2")
@@ -256,7 +255,7 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     design = np.linspace(-1.0, 1.0, design_size)[:, None]
     base = RngStream(seed).child(rep)
     summaries = [
-        evaluate_point(sim, theta, reps_per_point, base.child(i))
+        evaluate_point(sim, theta, ROOTLESS_REPS, base.child(i))
         for i, theta in enumerate(design)
     ]
     targets = np.array([s.signed_mean for s in summaries])

@@ -1,18 +1,17 @@
 """Benchmark simulation models behind one residual-drawing interface.
 
-Each model exposes a parameter box, an output dimension,
-``draw(theta, gen) -> residual vector`` and
+Each model exposes a parameter box, an output dimension and one method,
 ``draw_batch(theta, gens) -> (len(gens), output_dim) array``, where each
-``gen`` is a ``numpy.random.Generator``.  Row ``i`` of a batch is drawn from
-``gens[i]``, rows in order, so it is bit-identical to ``draw(theta, gens[i])``
-called in the same sequence; a generator may appear in several rows.  A model
-implements one of the two and inherits the other.  M/M/1, Himmelblau and the
-rootless quadratic implement ``draw_batch``: each run of consecutive rows that
-share one generator is one sized numpy draw, which consumes the bit stream
-exactly as the same number of scalar draws.  The SIR model implements ``draw``
-and is drawn row by row.  The queueing and epidemic models hold one fixed
-synthetic observation, generated from a dedicated stream at the true
-parameter, and return observation-minus-simulation residuals.
+``gen`` is a ``numpy.random.Generator``.  Row ``i`` is drawn from ``gens[i]``,
+rows in order, and a generator may appear in several rows, so a batch over
+one shared generator equals the same rows drawn one at a time.
+``draw(theta, gen)`` is the one-row case.  M/M/1, Himmelblau and the
+rootless quadratic draw each run of consecutive rows that share one
+generator with one sized numpy call, which consumes the bit stream exactly
+as the same number of scalar draws; SIR simulates row by row.  The queueing
+and epidemic models hold one fixed synthetic observation, generated from a
+dedicated stream at the true parameter, and return observation-minus-
+simulation residuals.
 """
 
 from __future__ import annotations
@@ -32,26 +31,22 @@ __all__ = [
     "RootlessQuadratic",
     "himmelblau_signed",
     "mm1_sojourn_batch",
-    "mm1_sojourn_times",
     "sir_trajectory",
     "make_model",
 ]
 
 
 class SimulationModel:
-    """Interface: box, output_dim, draw(theta, gen), draw_batch(theta, gens)."""
+    """Interface: box, output_dim, draw_batch(theta, gens)."""
 
     box: ParameterBox
     output_dim: int
 
-    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
-        if type(self).draw_batch is SimulationModel.draw_batch:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither draw nor draw_batch")
-        return self.draw_batch(theta, [gen])[0]
-
     def draw_batch(self, theta, gens) -> np.ndarray:
-        return np.array([self.draw(theta, gen) for gen in gens])
+        raise NotImplementedError(f"{type(self).__name__} does not implement draw_batch")
+
+    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
+        return self.draw_batch(theta, [gen])[0]
 
 
 def _runs(gens):
@@ -113,12 +108,6 @@ def mm1_sojourn_batch(arrival_rate: float, service_rate: float,
     return times
 
 
-def mm1_sojourn_times(arrival_rate: float, service_rate: float,
-                      n_entities: int, gen: np.random.Generator) -> np.ndarray:
-    """One trajectory of :func:`mm1_sojourn_batch`, drawn from ``gen``."""
-    return mm1_sojourn_batch(arrival_rate, service_rate, n_entities, [gen])[0]
-
-
 @dataclass(frozen=True)
 class Mm1Queue(SimulationModel):
     """Arrival-rate calibration against observed sojourn times.
@@ -138,8 +127,8 @@ class Mm1Queue(SimulationModel):
     @classmethod
     def from_stream(cls, obs_rng: RngStream, arrival_real: float = 6.0,
                     service_rate: float = 4.0, n_entities: int = 100) -> "Mm1Queue":
-        observed = mm1_sojourn_times(arrival_real, service_rate, n_entities,
-                                     obs_rng.generator())
+        observed = mm1_sojourn_batch(arrival_real, service_rate, n_entities,
+                                     [obs_rng.generator()])[0]
         return cls(observed=observed, service_rate=service_rate,
                    output_dim=n_entities)
 
@@ -213,9 +202,10 @@ class StochasticSir(SimulationModel):
         observed = sir_trajectory(infection_real, obs_rng.generator())
         return cls(observed=observed)
 
-    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
-        sim = sir_trajectory(min(max(float(theta[0]), 0.0), 1.0), gen)
-        return self.observed - sim
+    def draw_batch(self, theta, gens) -> np.ndarray:
+        p = min(max(float(theta[0]), 0.0), 1.0)
+        sim = np.array([sir_trajectory(p, gen) for gen in gens])
+        return np.subtract(self.observed, sim, out=sim)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rootcal.acqopt import OptimizationError, OptimizerConfig, optimize
+from rootcal.acqopt import OptimizationError, optimize
 from rootcal.core import ParameterBox, RngStream
 
 
@@ -18,14 +18,12 @@ def _quadratic(center):
 class TestOptimize:
     def test_finds_interior_minimum(self):
         box = ParameterBox([-2.0, -2.0], [2.0, 2.0])
-        cfg = OptimizerConfig(starts=5, iters=30)
-        x = optimize(_quadratic([0.5, -0.7]), box, cfg, RngStream(0))
+        x = optimize(_quadratic([0.5, -0.7]), box, RngStream(0))
         assert np.allclose(x, [0.5, -0.7], atol=1e-4)
 
     def test_respects_box_when_minimum_outside(self):
         box = ParameterBox([0.0], [1.0])
-        cfg = OptimizerConfig(starts=5, iters=30)
-        x = optimize(_quadratic([3.0]), box, cfg, RngStream(1))
+        x = optimize(_quadratic([3.0]), box, RngStream(1))
         assert x[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_maximize_flag(self):
@@ -34,16 +32,14 @@ class TestOptimize:
         def f(x):
             return float(-(x[0] - 0.3) ** 2), np.array([-2.0 * (x[0] - 0.3)])
 
-        cfg = OptimizerConfig(starts=5, iters=30)
-        x = optimize(f, box, cfg, RngStream(2), maximize=True)
+        x = optimize(f, box, RngStream(2), maximize=True)
         assert x[0] == pytest.approx(0.3, abs=1e-4)
 
     def test_deterministic_given_stream(self):
         box = ParameterBox([-1.0, -1.0], [1.0, 1.0])
-        cfg = OptimizerConfig()
         f = _quadratic([0.2, 0.2])
-        a = optimize(f, box, cfg, RngStream(3))
-        b = optimize(f, box, cfg, RngStream(3))
+        a = optimize(f, box, RngStream(3))
+        b = optimize(f, box, RngStream(3))
         assert np.array_equal(a, b)
 
     def test_never_worse_than_best_start(self):
@@ -54,9 +50,8 @@ class TestOptimize:
             return float(np.sin(3 * x[0]) + 0.1 * x[0]), np.array(
                 [3 * np.cos(3 * x[0]) + 0.1])
 
-        cfg = OptimizerConfig(starts=10, iters=10)
         rng = RngStream(4)
-        x = optimize(f, box, cfg, rng)
+        x = optimize(f, box, rng)
         starts = rng.generator().random((10, 1)) * 4.0
         best_start = min(f(s)[0] for s in starts)
         assert f(x)[0] <= best_start + 1e-12
@@ -67,7 +62,7 @@ class TestOptimize:
         def f(x):
             return float(x[0]), None  # value usable, gradient unavailable
 
-        x = optimize(f, box, OptimizerConfig(starts=3, iters=5), RngStream(5))
+        x = optimize(f, box, RngStream(5))
         assert 0.0 <= x[0] <= 1.0
 
     def test_all_non_finite_raises(self):
@@ -77,4 +72,4 @@ class TestOptimize:
             return float("nan"), np.zeros(1)
 
         with pytest.raises(OptimizationError):
-            optimize(f, box, OptimizerConfig(starts=3, iters=5), RngStream(6))
+            optimize(f, box, RngStream(6))

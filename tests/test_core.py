@@ -36,11 +36,6 @@ class TestParameterBox:
         assert np.all(u >= 0) and np.all(u <= 1)
         assert np.allclose(box.from_unit(u), theta)
 
-    def test_clip(self):
-        box = ParameterBox([0.0], [1.0])
-        assert box.clip([2.0])[0] == 1.0
-        assert box.clip([-1.0])[0] == 0.0
-
 
 class TestRngStream:
     def test_same_key_same_draws(self):

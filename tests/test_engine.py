@@ -154,8 +154,8 @@ class TestInputGuard:
             box = ParameterBox([0.0], [1.0])
             output_dim = 2
 
-            def draw(self, theta, gen):
-                return np.array([gen.random(), np.inf])
+            def draw_batch(self, theta, gens):
+                return np.array([[gen.random(), np.inf] for gen in gens])
 
         self._assert_both_reject(InfModel(), [0.5], "non-finite draw")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rootcal import simulators
 from rootcal.core import RngStream
 from rootcal.simulators import (
     Himmelblau2D,
@@ -11,7 +12,6 @@ from rootcal.simulators import (
     himmelblau_signed,
     make_model,
     mm1_sojourn_batch,
-    mm1_sojourn_times,
     sir_trajectory,
 )
 
@@ -102,7 +102,7 @@ class TestHimmelblau:
         theta = [0.0, 0.0]
         f = himmelblau_signed(theta)
         gen = np.random.default_rng(0)
-        draws = np.array([sim.draw(theta, gen)[0] for _ in range(20000)])
+        draws = sim.draw_batch(theta, [gen] * 20000)[:, 0]
         assert draws.mean() == pytest.approx(f, abs=0.05)
         assert draws.var() == pytest.approx(abs(f), rel=0.05)
 
@@ -126,7 +126,7 @@ class TestMm1:
                 out[...] = [[[1.0, 2.0, 0.4], [3.2, 1.6, 2.4]]]
 
         gen = FakeGen()
-        sojourn = mm1_sojourn_times(2.0, 4.0, 3, gen)
+        sojourn = mm1_sojourn_batch(2.0, 4.0, 3, [gen])[0]
         assert gen.calls == 1
         # waits: w1 = 0; w2 = max(0, 0 + 0.8 - 1.0) = 0; w3 = max(0, 0 + 0.4 - 0.2) = 0.2
         assert np.allclose(sojourn, [0.8, 0.4, 0.8])
@@ -185,7 +185,7 @@ class TestRootlessQuadratic:
     def test_mean_is_quadratic_plus_offset(self):
         sim = RootlessQuadratic(eps=0.1)
         gen = np.random.default_rng(13)
-        draws = np.array([sim.draw([0.5], gen)[0] for _ in range(20000)])
+        draws = sim.draw_batch([0.5], [gen] * 20000)[:, 0]
         assert draws.mean() == pytest.approx(0.25 + 0.1, abs=0.001)
         assert draws.std() == pytest.approx(0.01, rel=0.05)
 
@@ -309,3 +309,13 @@ class TestDrawBatch:
 
         with pytest.raises(NotImplementedError):
             Empty().draw([0.0], np.random.default_rng(0))
+
+    def test_models_implement_only_draw_batch(self):
+        # draw is the base class's one-row wrapper; no model overrides it
+        models = [cls for cls in vars(simulators).values()
+                  if isinstance(cls, type) and issubclass(cls, SimulationModel)
+                  and cls is not SimulationModel]
+        assert len(models) == 4
+        for cls in models:
+            assert "draw" not in vars(cls), cls.__name__
+            assert "draw_batch" in vars(cls), cls.__name__
