@@ -21,6 +21,7 @@ from rootcal import (
     posterior,
     posterior_grad,
     acq_gradient,
+    design_posteriors,
     select_incumbent,
 )
 
@@ -33,12 +34,13 @@ def main():
     noise = np.full(6, 0.02)
     model = fit(box, design, targets, noise)
 
+    posts = design_posteriors(model)
     grid = np.linspace(0.0, 1.0, 6)
     print("grid:", "  ".join(f"{g:6.2f}" for g in grid))
     for family in Family:
         for mode in Mode:
             kind = AcqKind(family, mode)
-            inc = select_incumbent(model, mode, stochastic=True)
+            inc = select_incumbent(model, mode, posts)
 
             def objective(theta):
                 post, grad = posterior_grad(model, theta)
@@ -48,10 +50,12 @@ def main():
                 return value, grad
 
             vals = [acq_value(kind, posterior(model, [g]), inc) for g in grid]
-            best = optimize(objective, box, RngStream(1), maximize=kind.maximize)
+            best, best_val = optimize(objective, box, RngStream(1),
+                                      maximize=kind.maximize)
             name = f"{mode.value}-{family.value}"
             line = "  ".join(f"{v:6.3f}" for v in vals)
-            print(f"{name:>8}: {line}   -> next point {best[0]:.4f}")
+            print(f"{name:>8}: {line}   -> next point {best[0]:.4f} "
+                  f"(value {best_val:.3f})")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from .acquisition import (
     Mode,
     acq_gradient,
     acq_value,
+    design_posteriors,
     select_incumbent,
 )
 from .core import (
@@ -84,6 +85,7 @@ __all__ = [
     "aggregate_squared",
     "aggregate_variance",
     "chain_check",
+    "design_posteriors",
     "evaluate_point",
     "fit",
     "initial_design",

@@ -94,12 +94,14 @@ def _local_search(f, x0, lower, upper):
 
 
 def optimize(objective, box: ParameterBox, rng: RngStream,
-             maximize: bool = False) -> np.ndarray:
-    """Best point over `STARTS` local searches from uniform random starts.
+             maximize: bool = False) -> tuple[np.ndarray, float]:
+    """Best point over `STARTS` local searches from uniform random starts,
+    and the objective's value there.
 
     `objective(theta) -> (value, grad_or_None)`.  Both the value at each
     start and at each line-search trial count toward the reduction, so the
-    result never scores worse than any start point.
+    result never scores worse than any start point.  The returned value is
+    the one the objective gave at the returned point.
     """
     gen = rng.generator()
     sign = -1.0 if maximize else 1.0
@@ -121,4 +123,4 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
             best_x, best_val = x, val
     if best_x is None:
         raise OptimizationError("all starts returned non-finite objective values")
-    return best_x
+    return best_x, sign * best_val

@@ -28,6 +28,7 @@ __all__ = [
     "Mode",
     "AcqKind",
     "Incumbent",
+    "design_posteriors",
     "select_incumbent",
     "lcb",
     "rf_lcb",
@@ -83,30 +84,32 @@ def _Phi(z):
     return ndtr(z)
 
 
-def select_incumbent(model: GpModel, mode: Mode, stochastic: bool) -> Incumbent:
+def design_posteriors(model: GpModel) -> list:
+    """The posterior at each design point, in design order."""
+    return [posterior(model, theta) for theta in model.design]
+
+
+def select_incumbent(model: GpModel, mode: Mode, posts=None) -> Incumbent:
     """Current best value the improvement-based acquisitions compare against.
 
-    Deterministic mode ranks the model targets, by |value| for ROOT;
-    stochastic mode ranks posterior quantities at the design
-    points: the predictive mean for MIN, mu^2 + sigma^2 for ROOT.  Ties break
-    toward the lowest index.
+    Without `posts` (a deterministic surrogate) this ranks the model targets,
+    by |value| for ROOT.  With the design posteriors `posts` (a stochastic
+    surrogate, see `design_posteriors`) it ranks the predictive mean for MIN
+    and mu^2 + sigma^2 for ROOT.  Ties break toward the lowest index.
     """
     if model.size < 1:
         raise ValueError("empty design")
-    if not stochastic:
+    if posts is None:
         vals = model.targets
-        if mode is Mode.MIN:
-            idx = int(np.argmin(vals))
-        else:
-            idx = int(np.argmin(np.abs(vals)))
+        idx = int(np.argmin(vals if mode is Mode.MIN else np.abs(vals)))
         return Incumbent(index=idx, value=float(vals[idx]))
-    posts = [posterior(model, model.design[i]) for i in range(model.size)]
+    if len(posts) != model.size:
+        raise ValueError(f"{len(posts)} posteriors for {model.size} design points")
     means = np.array([p.mean for p in posts])
     if mode is Mode.MIN:
         idx = int(np.argmin(means))
     else:
-        scores = np.array([p.mean**2 + p.var for p in posts])
-        idx = int(np.argmin(scores))
+        idx = int(np.argmin([p.mean**2 + p.var for p in posts]))
     return Incumbent(index=idx, value=float(means[idx]))
 
 

@@ -23,13 +23,12 @@ from .acquisition import AcqKind, Family, Mode
 from .core import RngStream
 from .diagnostics import chain_check, validate_gradients
 from .engine import (
-    OBS_KEY,
     RunConfig,
     macro_sweep,
+    observation_model,
     rootless_table,
     run_calibration,
 )
-from .simulators import make_model
 
 __all__ = ["main"]
 
@@ -178,8 +177,7 @@ def cmd_run(config_path: str) -> int:
     if "trace" not in out or "summary" not in out:
         raise ConfigError("run needs output.trace and output.summary paths")
     run_cfg = _method_config(cfg["methods"][0], cfg)
-    base = RngStream(cfg["seed"]).child(0)
-    sim = make_model(cfg["problem"], base.child(OBS_KEY), cfg.get("problem_params"))
+    sim = observation_model(cfg["problem"], cfg.get("problem_params"), cfg["seed"])
 
     start = time.monotonic()
     trace = run_calibration(sim, run_cfg, stream_id=0)
@@ -214,14 +212,10 @@ def cmd_sweep(config_path: str) -> int:
     if len(set(labels)) != len(labels):
         raise ConfigError("methods must be distinct")
     workers = int(os.environ.get("ROOTCAL_WORKERS", "1"))
-    long_rows, aggregate_rows, failures = macro_sweep(
+    long_rows, aggregate_rows = macro_sweep(
         cfg["problem"], cfg.get("problem_params"), configs,
         cfg["macro_reps"], workers=workers,
     )
-    for msg in failures:
-        print(f"run failed: {msg}", file=sys.stderr)
-    if failures:
-        print(f"{len(failures)} run(s) failed and were excluded", file=sys.stderr)
     _write_csv(
         out["long"],
         ["method", "macro_rep", "iter", "post_mean"],
@@ -235,8 +229,8 @@ def cmd_sweep(config_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cases: int, seed: int, corrupt: bool = False) -> int:
-    report = validate_gradients(cases, RngStream(seed), corrupt=corrupt)
+def cmd_validate(cases: int, seed: int) -> int:
+    report = validate_gradients(cases, RngStream(seed))
     status = EXIT_OK
     for name in sorted(report):
         dev = report[name]
@@ -264,13 +258,13 @@ def cmd_rootless(eps: float, design_sizes, seed: int, n_seeds: int,
 
 def cmd_diagnose(problem: str, theta, reps: int, seed: int,
                  problem_params: dict | None = None) -> int:
-    base = RngStream(seed)
-    sim = make_model(problem, base.child(OBS_KEY), problem_params)
+    sim = observation_model(problem, problem_params, seed)
     theta = np.asarray(theta, dtype=float)
     if theta.size != sim.box.dim:
         raise ConfigError(f"theta must have {sim.box.dim} component(s)")
     if not sim.box.contains(theta):
         raise ConfigError("theta outside the parameter box")
+    base = RngStream(seed)
     samples = sim.draw_batch(theta, [base.child(1, j).generator() for j in range(reps)])
     report = chain_check(samples)
     print(json.dumps({
@@ -304,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="acquisition gradient validation")
     p_val.add_argument("--cases", type=int, default=100)
     p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p_root = sub.add_parser("rootless", help="acquisition gaps without a root")
     p_root.add_argument("--eps", type=float, required=True)
@@ -339,7 +332,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             if args.cases < 1:
                 raise ConfigError("--cases must be >= 1")
-            return cmd_validate(args.cases, args.seed, corrupt=args.corrupt)
+            return cmd_validate(args.cases, args.seed)
         if args.command == "rootless":
             try:
                 sizes = [int(s) for s in args.design_sizes.split(",") if s]

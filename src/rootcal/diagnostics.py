@@ -59,13 +59,8 @@ def _rows(samples) -> np.ndarray:
 
 
 def spatial_variability(samples) -> float:
-    """Mean over samples of the within-sample variance of residual components.
-
-    Samples may differ in length, so each sample's variance is taken on its own.
-    """
-    if len(samples) == 0:
-        raise ValueError("at least one residual sample required")
-    return float(np.mean([np.var(s) for s in samples]))
+    """Mean over samples of the within-sample variance of residual components."""
+    return float(np.var(_rows(samples), axis=1).mean())
 
 
 def aggregate_variance(samples) -> float:
@@ -121,12 +116,10 @@ def _fd_gradient(model, theta, kind, inc, step):
     return grad
 
 
-def validate_gradients(cases: int, rng: RngStream, fd_step: float = 1e-5,
-                       corrupt: bool = False) -> dict:
+def validate_gradients(cases: int, rng: RngStream, fd_step: float = 1e-5) -> dict:
     """Max |analytical - central-difference| gradient deviation per acquisition.
 
-    Deterministic per rng.  `corrupt` perturbs the analytical gradients and
-    exists only as a negative control for the validation pipeline itself.
+    Deterministic per rng.
     """
     if cases < 1:
         raise ValueError("cases must be >= 1")
@@ -137,8 +130,6 @@ def validate_gradients(cases: int, rng: RngStream, fd_step: float = 1e-5,
         post, grad = posterior_grad(model, theta)
         for kind in ALL_ACQ_KINDS:
             analytical = acq_gradient(kind, post, grad, inc)
-            if corrupt:
-                analytical = analytical + 1.0
             numerical = _fd_gradient(model, theta, kind, inc, fd_step)
             dev = float(np.max(np.abs(analytical - numerical)))
             worst[kind] = max(worst[kind], dev)

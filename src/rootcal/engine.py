@@ -22,6 +22,7 @@ from .acquisition import (
     Mode,
     acq_gradient,
     acq_value,
+    design_posteriors,
     ei,
     lcb,
     pi,
@@ -38,6 +39,7 @@ __all__ = [
     "RunConfig",
     "IterationRecord",
     "CalibrationTrace",
+    "observation_model",
     "initial_design",
     "evaluate_point",
     "post_evaluate",
@@ -104,6 +106,12 @@ class CalibrationTrace:
     records: list
 
 
+def observation_model(problem: str, problem_params: dict | None, seed: int,
+                      rep: int = 0) -> SimulationModel:
+    """The model of macro replication `rep`, with its fixed observation."""
+    return make_model(problem, RngStream(seed).child(rep).child(_OBS), problem_params)
+
+
 def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
     """Latin hypercube sample: p strata per axis, one uniform draw each."""
     if p < 2:
@@ -152,9 +160,10 @@ def post_evaluate(model: SimulationModel, theta, post_reps: int,
     return float(vals.mean()), ci_half
 
 
-def _fit_surrogate(box: ParameterBox, summaries,
-                   config: RunConfig) -> tuple[GpModel, Incumbent]:
-    """Fit the surrogate to the mode's targets and take its incumbent once."""
+def _fit_surrogate(box: ParameterBox, summaries, config: RunConfig):
+    """Fit the surrogate to the mode's targets; returns the model, its
+    incumbent and the design posteriors (None for a deterministic surrogate),
+    which the incumbent and stochastic search-space reduction share."""
     design = np.array([s.theta for s in summaries])
     if config.objective_mode is Mode.ROOT:
         targets = np.array([s.signed_mean for s in summaries])
@@ -165,20 +174,20 @@ def _fit_surrogate(box: ParameterBox, summaries,
     if not config.stochastic:
         noise = np.zeros_like(noise)
     model = fit(box, design, targets, noise)
-    return model, select_incumbent(model, config.objective_mode, config.stochastic)
+    posts = design_posteriors(model) if config.stochastic else None
+    return model, select_incumbent(model, config.objective_mode, posts), posts
 
 
-def _active_box(model: GpModel, summaries, config: RunConfig,
+def _active_box(model: GpModel, posts, summaries, config: RunConfig,
                 box: ParameterBox) -> ParameterBox:
     if not config.use_rss:
         return box
-    design = np.array([s.theta for s in summaries])
-    if config.stochastic:
-        posts = [posterior(model, theta) for theta in design]
-        sub = rss_mod.rss_stochastic(design, posts, config.alpha, config.theta_floor)
+    if posts is not None:
+        sub = rss_mod.rss_stochastic(model.design, posts, config.alpha,
+                                     config.theta_floor)
     else:
         signed = np.array([s.signed_mean for s in summaries])
-        sub = rss_mod.rss_deterministic(design, signed, config.theta_floor)
+        sub = rss_mod.rss_deterministic(model.design, signed, config.theta_floor)
     if sub is None:
         return box
     # degenerate axes (coincident coordinates) keep a positive extent via the floor
@@ -190,6 +199,7 @@ def _active_box(model: GpModel, summaries, config: RunConfig,
 
 def _next_point(model: GpModel, inc: Incumbent, config: RunConfig,
                 active: ParameterBox, rng: RngStream):
+    """The acquisition optimum in the active box and its acquisition value."""
     def objective(theta):
         post, grad = posterior_grad(model, theta)
         value = acq_value(config.acq, post, inc)
@@ -197,9 +207,7 @@ def _next_point(model: GpModel, inc: Incumbent, config: RunConfig,
             grad = acq_gradient(config.acq, post, grad, inc)
         return value, grad
 
-    theta = optimize(objective, active, rng, maximize=config.acq.maximize)
-    value = acq_value(config.acq, posterior(model, theta), inc)
-    return theta, value
+    return optimize(objective, active, rng, maximize=config.acq.maximize)
 
 
 def run_calibration(sim: SimulationModel, config: RunConfig,
@@ -219,12 +227,12 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
     value, active = np.nan, box
     for t in range(config.budget + 1):
         if t > 0:
-            active = _active_box(model, summaries, config, box)
+            active = _active_box(model, posts, summaries, config, box)
             theta, value = _next_point(model, inc, config, active, base.child(_ACQ, t))
             summary = evaluate_point(sim, theta, config.reps_per_point,
                                      base.child(_SIM, config.p_init + t - 1))
             summaries.append(summary)
-        model, inc = _fit_surrogate(box, summaries, config)
+        model, inc, posts = _fit_surrogate(box, summaries, config)
         rec = summaries[inc.index].theta
         post_mean, ci = post_evaluate(sim, rec, config.post_reps,
                                       base.child(_POST, t))
@@ -263,8 +271,8 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     model = fit(sim.box, design, targets, noise)
 
     post = posterior(model, [0.0])
-    inc = select_incumbent(model, Mode.ROOT, stochastic=False)
-    v_min = select_incumbent(model, Mode.MIN, stochastic=False)
+    inc = select_incumbent(model, Mode.ROOT)
+    v_min = select_incumbent(model, Mode.MIN)
 
     grid = model.box.to_unit(np.linspace(-1.0, 1.0, 201)[:, None])
     grid_means = kernel_matrix(grid, model.unit_design, model.lengthscale) @ model.alpha
@@ -306,23 +314,24 @@ def rootless_table(eps: float, design_sizes, seed: int, n_seeds: int = 100):
 
 
 def _run_one(args):
+    """Long rows of one run; any error is re-raised naming the method and macro rep."""
     problem, problem_params, config, stream_id = args
-    base = RngStream(config.seed).child(stream_id)
-    sim = make_model(problem, base.child(_OBS), problem_params)
     try:
+        sim = observation_model(problem, problem_params, config.seed, stream_id)
         trace = run_calibration(sim, config, stream_id)
-        return [(config.label, stream_id, r.iteration, r.post_mean)
-                for r in trace.records], None
-    except Exception as exc:  # recorded, not fatal
-        return None, f"{config.label}/rep{stream_id}: {exc}"
+    except Exception as exc:
+        raise RuntimeError(f"{config.label}/rep{stream_id}: {exc}") from exc
+    return [(config.label, stream_id, r.iteration, r.post_mean) for r in trace.records]
 
 
 def macro_sweep(problem: str, problem_params: dict, configs, macro_reps: int,
                 workers: int = 1):
-    """Run each config across macro replications; returns (long_rows, aggregate_rows, failures).
+    """Run each config across macro replications; returns (long_rows, aggregate_rows).
 
     long_rows: (method, macro_rep, iter, post_mean), sorted.
     aggregate_rows: (method, iter, mean, ci_half) across macro replications.
+    A run that raises fails the whole sweep with a RuntimeError naming it, so
+    the method comparison is never silently unpaired.
     """
     if macro_reps < 1:
         raise ValueError("macro_reps must be >= 1")
@@ -335,15 +344,7 @@ def macro_sweep(problem: str, problem_params: dict, configs, macro_reps: int,
             results = list(pool.map(_run_one, tasks))
     else:
         results = [_run_one(t) for t in tasks]
-
-    long_rows = []
-    failures = []
-    for rows, err in results:
-        if err is not None:
-            failures.append(err)
-        else:
-            long_rows.extend(rows)
-    long_rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    long_rows = sorted((row for rows in results for row in rows), key=lambda r: r[:3])
 
     aggregate_rows = []
     by_key = {}
@@ -353,4 +354,4 @@ def macro_sweep(problem: str, problem_params: dict, configs, macro_reps: int,
         arr = np.array(vals)
         ci = 1.96 * float(arr.std(ddof=1)) / np.sqrt(arr.size) if arr.size > 1 else 0.0
         aggregate_rows.append((method, it, float(arr.mean()), ci))
-    return long_rows, aggregate_rows, failures
+    return long_rows, aggregate_rows

@@ -191,9 +191,8 @@ def test_criterion_6_himmelblau_directional_result():
                   acq=AcqKind(Family.EI, Mode.MIN), use_rss=False,
                   budget=10, seed=0),
     ]
-    long_rows, _, failures = macro_sweep("himmelblau2d", None, configs,
-                                         macro_reps=30, workers=4)
-    assert failures == []
+    long_rows, _ = macro_sweep("himmelblau2d", None, configs,
+                               macro_reps=30, workers=4)
     final = {}
     for method, rep, it, pm in long_rows:
         if it == 10:

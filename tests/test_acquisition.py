@@ -9,6 +9,7 @@ from rootcal.acquisition import (
     Mode,
     acq_gradient,
     acq_value,
+    design_posteriors,
     ei,
     lcb,
     pi,
@@ -127,12 +128,12 @@ class TestSelectIncumbent:
         return model_at(box, design, targets, np.full(3, 0.01), 0.3)
 
     def test_deterministic_min_uses_smallest_value(self):
-        inc = select_incumbent(self._model(), Mode.MIN, stochastic=False)
+        inc = select_incumbent(self._model(), Mode.MIN)
         assert inc.index == 1
         assert inc.value == -0.5
 
     def test_deterministic_root_keeps_sign(self):
-        inc = select_incumbent(self._model(), Mode.ROOT, stochastic=False)
+        inc = select_incumbent(self._model(), Mode.ROOT)
         assert inc.index == 1
         assert inc.value == -0.5
 
@@ -140,7 +141,7 @@ class TestSelectIncumbent:
         from rootcal.metamodel import posterior
 
         model = self._model()
-        inc = select_incumbent(model, Mode.MIN, stochastic=True)
+        inc = select_incumbent(model, Mode.MIN, design_posteriors(model))
         means = [posterior(model, x).mean for x in model.design]
         assert inc.index == int(np.argmin(means))
         assert inc.value == pytest.approx(means[inc.index])
@@ -149,7 +150,12 @@ class TestSelectIncumbent:
         from rootcal.metamodel import posterior
 
         model = self._model()
-        inc = select_incumbent(model, Mode.ROOT, stochastic=True)
+        inc = select_incumbent(model, Mode.ROOT, design_posteriors(model))
         scores = [posterior(model, x).mean ** 2 + posterior(model, x).var
                   for x in model.design]
         assert inc.index == int(np.argmin(scores))
+
+    def test_posteriors_must_match_design(self):
+        model = self._model()
+        with pytest.raises(ValueError, match="2 posteriors for 3 design points"):
+            select_incumbent(model, Mode.MIN, design_posteriors(model)[:2])

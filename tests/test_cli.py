@@ -156,6 +156,24 @@ class TestSweep:
         assert main(["sweep", path]) == EXIT_OK
         assert (tmp_path / "long.csv").read_bytes() == serial
 
+    def test_failed_run_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
+        from rootcal import engine
+
+        calibrate = engine.run_calibration
+
+        def fail_rep1(sim, config, stream_id=0):
+            if stream_id == 1:
+                raise FloatingPointError("boom")
+            return calibrate(sim, config, stream_id)
+
+        monkeypatch.setattr(engine, "run_calibration", fail_rep1)
+        monkeypatch.setenv("ROOTCAL_WORKERS", "1")
+        cfg = self._sweep_config(tmp_path)
+        assert main(["sweep", _write(tmp_path, cfg)]) == EXIT_RUNTIME
+        assert "root-ei-sk-rss/rep1: boom" in capsys.readouterr().err
+        assert not (tmp_path / "long.csv").exists()
+        assert not (tmp_path / "agg.csv").exists()
+
     def test_requires_macro_reps(self, tmp_path):
         cfg = self._sweep_config(tmp_path)
         del cfg["macro_reps"]
@@ -174,8 +192,13 @@ class TestValidate:
         assert len(out) == 6
         assert all("max deviation" in line for line in out)
 
-    def test_corrupt_negative_control_fails(self, capsys):
-        code = main(["validate", "--cases", "2", "--corrupt"])
+    def test_corrupt_negative_control_fails(self, capsys, monkeypatch):
+        from rootcal import diagnostics
+
+        exact = diagnostics.acq_gradient
+        monkeypatch.setattr(diagnostics, "acq_gradient",
+                            lambda *args: exact(*args) + 1.0)
+        code = main(["validate", "--cases", "2"])
         assert code == EXIT_VALIDATION
         capsys.readouterr()
 

@@ -17,7 +17,9 @@ class TestSpatialVariability:
         assert spatial_variability([[1.0, -1.0]]) == pytest.approx(1.0)
 
     def test_constant_components_give_zero(self):
-        assert spatial_variability([[2.0, 2.0, 2.0], [5.0, 5.0]]) == 0.0
+        assert spatial_variability([[2.0, 2.0, 2.0], [5.0, 5.0, 5.0]]) == 0.0
+        with pytest.raises(ValueError):
+            spatial_variability([[2.0, 2.0, 2.0], [5.0, 5.0]])
 
     def test_averages_across_samples(self):
         # variances 1 and 0 average to 0.5
@@ -91,8 +93,13 @@ class TestValidateGradients:
         for dev in a.values():
             assert dev <= 1e-4
 
-    def test_corrupt_negative_control_trips(self):
-        report = validate_gradients(3, RngStream(2), corrupt=True)
+    def test_corrupt_negative_control_trips(self, monkeypatch):
+        from rootcal import diagnostics
+
+        exact = diagnostics.acq_gradient
+        monkeypatch.setattr(diagnostics, "acq_gradient",
+                            lambda *args: exact(*args) + 1.0)
+        report = validate_gradients(3, RngStream(2))
         assert all(dev > 1e-4 for dev in report.values())
 
     def test_coarse_step_degrades_accuracy(self):

@@ -220,6 +220,37 @@ class TestRunCalibration:
         trace = run_calibration(sim, cfg)
         assert len(trace.records) == 3
 
+    def test_one_posterior_per_design_point_per_fit(self, monkeypatch):
+        # the incumbent and stochastic search-space reduction share one
+        # posterior per design point, and the acquisition optimum's value
+        # comes from the optimizer rather than a fresh posterior
+        from rootcal import acquisition, engine
+
+        fit_sizes, post_calls = [], []
+        fit, post = engine.fit, acquisition.posterior
+
+        def counting_fit(box, design, *args):
+            fit_sizes.append(len(design))
+            return fit(box, design, *args)
+
+        def counting_post(model, theta):
+            post_calls.append(len(model.design))
+            return post(model, theta)
+
+        def no_posterior(model, theta):
+            raise AssertionError("engine.posterior called in run_calibration")
+
+        monkeypatch.setattr(engine, "fit", counting_fit)
+        monkeypatch.setattr(acquisition, "posterior", counting_post)
+        monkeypatch.setattr(engine, "posterior", no_posterior)
+        cfg = _config(budget=3)
+        sim = make_model("rootless", RngStream(0).child(0).child(OBS_KEY),
+                         {"eps": 0.5})
+        trace = run_calibration(sim, cfg)
+        assert len(fit_sizes) == cfg.budget + 1
+        assert sorted(post_calls) == sorted(n for n in fit_sizes for _ in range(n))
+        assert all(np.isfinite(r.acq_value) for r in trace.records[1:])
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             _config(p_init=1)
@@ -235,9 +266,8 @@ class TestMacroSweep:
         ]
 
     def test_row_counts_and_sorting(self):
-        long_rows, agg_rows, failures = macro_sweep(
+        long_rows, agg_rows = macro_sweep(
             "rootless", {"eps": 0.5}, self._configs(), macro_reps=3)
-        assert failures == []
         assert len(long_rows) == 2 * 3 * 3  # methods x reps x (budget + 1)
         assert long_rows == sorted(long_rows, key=lambda r: (r[0], r[1], r[2]))
         assert len(agg_rows) == 2 * 3  # methods x iterations
@@ -254,7 +284,7 @@ class TestMacroSweep:
             _config(budget=1, use_rss=True),
             _config(budget=1, use_rss=False),
         ]
-        long_rows, _, _ = macro_sweep("rootless", {"eps": 0.5}, cfgs, 2)
+        long_rows, _ = macro_sweep("rootless", {"eps": 0.5}, cfgs, 2)
         at_zero = {}
         for method, rep, it, pm in long_rows:
             if it == 0:
@@ -267,6 +297,20 @@ class TestMacroSweep:
         serial = macro_sweep(*args, workers=1)
         parallel = macro_sweep(*args, workers=3)
         assert serial == parallel
+
+    def test_failed_run_raises_naming_it(self, monkeypatch):
+        from rootcal import engine
+
+        calibrate = engine.run_calibration
+
+        def fail_rep1(sim, config, stream_id=0):
+            if stream_id == 1:
+                raise FloatingPointError("boom")
+            return calibrate(sim, config, stream_id)
+
+        monkeypatch.setattr(engine, "run_calibration", fail_rep1)
+        with pytest.raises(RuntimeError, match="root-ei-sk-rss/rep1: boom"):
+            macro_sweep("rootless", {"eps": 0.5}, self._configs(), 2)
 
 
 class TestRootless:
