@@ -264,8 +264,7 @@ def cmd_diagnose(problem: str, theta, reps: int, seed: int,
         raise ConfigError(f"theta must have {sim.box.dim} component(s)")
     if not sim.box.contains(theta):
         raise ConfigError("theta outside the parameter box")
-    base = RngStream(seed)
-    samples = sim.draw_batch(theta, [base.child(1, j).generator() for j in range(reps)])
+    samples = sim.draw(theta, RngStream(seed).child(1).generator(), reps)
     report = chain_check(samples)
     print(json.dumps({
         "problem": problem,

@@ -125,8 +125,8 @@ def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
     return [box.from_unit(u) for u in points]
 
 
-def _draw_checked(model: SimulationModel, theta, gens) -> np.ndarray:
-    """`model.draw_batch(theta, gens)`, rejecting a non-finite or out-of-box
+def _draw_checked(model: SimulationModel, theta, gen, reps: int) -> np.ndarray:
+    """`model.draw(theta, gen, reps)`, rejecting a non-finite or out-of-box
     theta before drawing and a non-finite draw after."""
     point = np.atleast_1d(np.asarray(theta, dtype=float))
     where = f"{type(model).__name__}: theta {point.tolist()}"
@@ -135,7 +135,7 @@ def _draw_checked(model: SimulationModel, theta, gens) -> np.ndarray:
     if not model.box.contains(point):
         raise ValueError(f"{where} is outside the box "
                          f"[{model.box.lower.tolist()}, {model.box.upper.tolist()}]")
-    draws = model.draw_batch(theta, gens)
+    draws = model.draw(theta, gen, reps)
     if not np.all(np.isfinite(draws)):
         raise ValueError(f"{where} gave a non-finite draw")
     return draws
@@ -143,11 +143,11 @@ def _draw_checked(model: SimulationModel, theta, gens) -> np.ndarray:
 
 def evaluate_point(model: SimulationModel, theta, reps: int,
                    rng: RngStream) -> ObservationSummary:
-    """Draw `reps` independent residual samples at theta and summarize them."""
+    """Draw `reps` independent residual samples at theta from one generator
+    and summarize them."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    gens = [rng.child(j).generator() for j in range(reps)]
-    return summarize(theta, _draw_checked(model, theta, gens))
+    return summarize(theta, _draw_checked(model, theta, rng.generator(), reps))
 
 
 def post_evaluate(model: SimulationModel, theta, post_reps: int,
@@ -155,7 +155,7 @@ def post_evaluate(model: SimulationModel, theta, post_reps: int,
     """Fresh estimate of the squared-discrepancy objective with a 95% CI half-width."""
     if post_reps < 2:
         raise ValueError("post_reps must be >= 2")
-    vals = aggregate_squared(_draw_checked(model, theta, [rng.generator()] * post_reps))
+    vals = aggregate_squared(_draw_checked(model, theta, rng.generator(), post_reps))
     ci_half = 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
     return float(vals.mean()), ci_half
 

@@ -1,15 +1,13 @@
 """Benchmark simulation models behind one residual-drawing interface.
 
 Each model exposes a parameter box, an output dimension and one method,
-``draw_batch(theta, gens) -> (len(gens), output_dim) array``, where each
-``gen`` is a ``numpy.random.Generator``.  Row ``i`` is drawn from ``gens[i]``,
-rows in order, and a generator may appear in several rows, so a batch over
-one shared generator equals the same rows drawn one at a time.
-``draw(theta, gen)`` is the one-row case.  M/M/1, Himmelblau and the
-rootless quadratic draw each run of consecutive rows that share one
-generator with one sized numpy call, which consumes the bit stream exactly
-as the same number of scalar draws; SIR simulates row by row.  The queueing
-and epidemic models hold one fixed synthetic observation, generated from a
+``draw(theta, gen, reps=1) -> (reps, output_dim) array``, whose rows are
+independent replications all drawn from the one ``numpy.random.Generator``
+``gen``.  Each model makes one sized numpy call per random quantity:
+Himmelblau and the rootless quadratic one normal draw, M/M/1 one call for
+all inter-arrival and one for all service times, and SIR one binomial per
+pass over the replications still active on a day.  The queueing and
+epidemic models hold one fixed synthetic observation, generated from a
 dedicated stream at the true parameter, and return observation-minus-
 simulation residuals.
 """
@@ -17,7 +15,6 @@ simulation residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -30,29 +27,20 @@ __all__ = [
     "StochasticSir",
     "RootlessQuadratic",
     "himmelblau_signed",
-    "mm1_sojourn_batch",
-    "sir_trajectory",
+    "mm1_sojourns",
+    "sir_trajectories",
     "make_model",
 ]
 
 
 class SimulationModel:
-    """Interface: box, output_dim, draw_batch(theta, gens)."""
+    """Interface: box, output_dim, draw(theta, gen, reps)."""
 
     box: ParameterBox
     output_dim: int
 
-    def draw_batch(self, theta, gens) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} does not implement draw_batch")
-
-    def draw(self, theta, gen: np.random.Generator) -> np.ndarray:
-        return self.draw_batch(theta, [gen])[0]
-
-
-def _runs(gens):
-    """``(generator, rows)`` for each run of consecutive rows sharing a generator."""
-    for _, run in groupby(gens, key=id):
-        yield next(run), 1 + sum(1 for _ in run)
+    def draw(self, theta, gen: np.random.Generator, reps: int = 1) -> np.ndarray:
+        raise NotImplementedError(f"{type(self).__name__} does not implement draw")
 
 
 def himmelblau_signed(theta) -> float:
@@ -73,39 +61,31 @@ class Himmelblau2D(SimulationModel):
     )
     output_dim: int = 1
 
-    def draw_batch(self, theta, gens) -> np.ndarray:
+    def draw(self, theta, gen: np.random.Generator, reps: int = 1) -> np.ndarray:
         f = himmelblau_signed(theta)
-        sd = np.sqrt(abs(f))
-        noise = np.concatenate([gen.normal(0.0, sd, rows) for gen, rows in _runs(gens)])
+        noise = gen.normal(0.0, np.sqrt(abs(f)), reps)
         # on the zero set f is -inf and the noise +-inf; the engine rejects the nan
         with np.errstate(invalid="ignore"):
             return (f + noise)[:, None]
 
 
-def mm1_sojourn_batch(arrival_rate: float, service_rate: float,
-                      n_entities: int, gens) -> np.ndarray:
-    """Per-entity sojourn times of a single FIFO server via the Lindley recursion.
+def mm1_sojourns(arrival_rate: float, service_rate: float, n_entities: int,
+                 gen: np.random.Generator, reps: int = 1) -> np.ndarray:
+    """``(reps, n_entities)`` sojourn times of a single FIFO server.
 
-    Row ``i`` holds the inter-arrival then the service draws of ``gens[i]``,
-    each run of rows sharing a generator filled by one standard-exponential
-    draw and scaled in place, as ``exponential(scale)`` scales element by
-    element.  The recursion runs once over entities, across all rows.  The
-    sojourns overwrite the inter-arrival half, which is returned.
+    All inter-arrival times, then all service times, are drawn entity-major
+    as ``(n_entities, reps)`` arrays, so the Lindley recursion steps over
+    contiguous rows, one entity across all replications at a time.  The
+    sojourns overwrite the inter-arrival times and are returned transposed.
     """
-    draws = np.empty((len(gens), 2, n_entities))
-    start = 0
-    for gen, rows in _runs(gens):
-        gen.standard_exponential(out=draws[start:start + rows])
-        start += rows
-    times, services = draws[:, 0], draws[:, 1]
-    times *= 1.0 / arrival_rate
-    services *= 1.0 / service_rate
-    wait = np.zeros(len(gens))
+    times = gen.exponential(1.0 / arrival_rate, (n_entities, reps))
+    services = gen.exponential(1.0 / service_rate, (n_entities, reps))
+    wait = np.zeros(reps)
     for k in range(n_entities):
         if k > 0:
-            wait = np.maximum(0.0, wait + services[:, k - 1] - times[:, k])
-        times[:, k] = wait + services[:, k]
-    return times
+            wait = np.maximum(0.0, wait + services[k - 1] - times[k])
+        times[k] = wait + services[k]
+    return times.T
 
 
 @dataclass(frozen=True)
@@ -127,62 +107,54 @@ class Mm1Queue(SimulationModel):
     @classmethod
     def from_stream(cls, obs_rng: RngStream, arrival_real: float = 6.0,
                     service_rate: float = 4.0, n_entities: int = 100) -> "Mm1Queue":
-        observed = mm1_sojourn_batch(arrival_real, service_rate, n_entities,
-                                     [obs_rng.generator()])[0]
+        observed = mm1_sojourns(arrival_real, service_rate, n_entities,
+                                obs_rng.generator())[0]
         return cls(observed=observed, service_rate=service_rate,
                    output_dim=n_entities)
 
-    def draw_batch(self, theta, gens) -> np.ndarray:
-        sim = mm1_sojourn_batch(float(theta[0]), self.service_rate,
-                                self.output_dim, gens)
-        return np.subtract(self.observed, sim, out=sim)
+    def draw(self, theta, gen: np.random.Generator, reps: int = 1) -> np.ndarray:
+        sim = mm1_sojourns(float(theta[0]), self.service_rate, self.output_dim,
+                           gen, reps)
+        # row-major residuals, so each row reduces as one contiguous vector
+        return np.subtract(self.observed, sim, order="C")
 
 
-def sir_trajectory(infection_prob: float, gen: np.random.Generator,
-                   population: int = 100, initial_infected: int = 10,
-                   contacts_per_day: int = 2, recovery_prob: float = 0.7,
-                   horizon: int = 5) -> np.ndarray:
-    """Daily cumulative recovered proportions of a stochastic SIR run.
+def sir_trajectories(infection_prob: float, gen: np.random.Generator,
+                     reps: int = 1, population: int = 100,
+                     initial_infected: int = 10, contacts_per_day: int = 2,
+                     recovery_prob: float = 0.7, horizon: int = 5) -> np.ndarray:
+    """``(reps, horizon)`` daily cumulative recovered proportions of stochastic SIR runs.
 
     Within a day, infections resolve first over the start-of-day susceptible
-    pool (each infected contacts up to `contacts_per_day` distinct current
-    susceptibles, sampled without replacement), then recoveries apply only
-    to individuals infected before that day.
+    pool: the infected take turns, each contacting min(contacts_per_day,
+    pool) distinct current susceptibles, sampled without replacement.  Then
+    recoveries apply only to individuals infected before that day.  Each
+    pass over the replications still taking turns is one array binomial:
+    while the pool is at least c = contacts_per_day, the next
+    k = min(left, (pool - c) // c + 1) turns all make full contacts and are
+    one Binomial(c * k, p) draw; a smaller pool takes one Binomial(pool, p)
+    turn.
     """
-    s = population - initial_infected
-    i = initial_infected
-    r = 0
-    out = np.empty(horizon)
+    c = contacts_per_day
+    s = np.full(reps, population - initial_infected)
+    i = np.full(reps, initial_infected)
+    r = np.zeros(reps, dtype=int)
+    out = np.empty((reps, horizon))
     for day in range(horizon):
-        infected_today = 0
-        if i > 0 and s > 0:
-            if s >= contacts_per_day * i:
-                # every infected can find a full set of distinct susceptibles,
-                # so the sequential contact process collapses to one binomial
-                infected_today = int(gen.binomial(contacts_per_day * i,
-                                                  infection_prob))
-            else:
-                # infected take turns; each contacts min(contacts_per_day, pool)
-                # of the remaining pool.  While pool - contacts_per_day * (k - 1)
-                # >= contacts_per_day, the next k turns all make full contacts,
-                # and one sized draw equals k scalar draws.
-                pool, left = s, i
-                while left > 0 and pool > 0:
-                    if pool < contacts_per_day:
-                        new = int(gen.binomial(pool, infection_prob))
-                        left -= 1
-                    else:
-                        k = min(left, (pool - contacts_per_day) // contacts_per_day + 1)
-                        new = int(gen.binomial(contacts_per_day, infection_prob,
-                                               size=k).sum())
-                        left -= k
-                    pool -= new
-                    infected_today += new
-        recoveries = int(gen.binomial(i, recovery_prob)) if i > 0 else 0
-        s -= infected_today
-        i = i - recoveries + infected_today
+        pool, left = s.copy(), i.copy()
+        active = np.flatnonzero((left > 0) & (pool > 0))
+        while active.size:
+            p_act, left_act = pool[active], left[active]
+            full = p_act >= c
+            k = np.where(full, np.minimum(left_act, (p_act - c) // c + 1), 1)
+            pool[active] -= gen.binomial(np.where(full, c * k, p_act), infection_prob)
+            left[active] -= k
+            active = active[(left[active] > 0) & (pool[active] > 0)]
+        recoveries = gen.binomial(i, recovery_prob)
+        i += s - pool - recoveries
+        s = pool
         r += recoveries
-        out[day] = r / population
+        out[:, day] = r / population
     return out
 
 
@@ -199,12 +171,12 @@ class StochasticSir(SimulationModel):
     @classmethod
     def from_stream(cls, obs_rng: RngStream,
                     infection_real: float = 0.65) -> "StochasticSir":
-        observed = sir_trajectory(infection_real, obs_rng.generator())
+        observed = sir_trajectories(infection_real, obs_rng.generator())[0]
         return cls(observed=observed)
 
-    def draw_batch(self, theta, gens) -> np.ndarray:
+    def draw(self, theta, gen: np.random.Generator, reps: int = 1) -> np.ndarray:
         p = min(max(float(theta[0]), 0.0), 1.0)
-        sim = np.array([sir_trajectory(p, gen) for gen in gens])
+        sim = sir_trajectories(p, gen, reps)
         return np.subtract(self.observed, sim, out=sim)
 
 
@@ -223,11 +195,9 @@ class RootlessQuadratic(SimulationModel):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
-    def draw_batch(self, theta, gens) -> np.ndarray:
+    def draw(self, theta, gen: np.random.Generator, reps: int = 1) -> np.ndarray:
         value = float(theta[0]) ** 2 + self.eps
-        noise = np.concatenate([gen.normal(0.0, self.noise_std, rows)
-                                for gen, rows in _runs(gens)])
-        return (value + noise)[:, None]
+        return (value + gen.normal(0.0, self.noise_std, reps))[:, None]
 
 
 def make_model(problem: str, obs_rng: RngStream, params: dict | None = None) -> SimulationModel:

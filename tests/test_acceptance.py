@@ -215,8 +215,8 @@ def _sir_oracle_gap(rep):
 
     gen = base.child(99).generator()
     grid = np.linspace(0.0, 1.0, 201)
-    # 1000 rows per grid point from the one shared generator, in order
-    scores = [np.mean(aggregate_squared(sim.draw_batch([g], [gen] * 1000)))
+    # 1000 rows per grid point from the one shared generator, one call each
+    scores = [np.mean(aggregate_squared(sim.draw([g], gen, 1000)))
               for g in grid]
     return abs(recommended - grid[int(np.argmin(scores))])
 
@@ -228,13 +228,13 @@ def test_criterion_7_queue_and_epidemic_sanity():
     # monotone mean signed discrepancy, 1000 replications per grid point
     queue = make_sim("mm1", RngStream(0).child(OBS_KEY))
     gen = np.random.default_rng(1)
-    q_means = [np.mean(queue.draw_batch([t], [gen] * 1000).mean(axis=1))
+    q_means = [np.mean(queue.draw([t], gen, 1000).mean(axis=1))
                for t in (3.0, 4.5, 6.0, 7.5, 9.0)]
     assert all(a > b for a, b in zip(q_means, q_means[1:]))
     assert q_means[0] > 0 > q_means[-1]
 
     sir = make_sim("sir", RngStream(0).child(OBS_KEY))
-    s_means = [np.mean(sir.draw_batch([t], [gen] * 1000).mean(axis=1))
+    s_means = [np.mean(sir.draw([t], gen, 1000).mean(axis=1))
                for t in (0.2, 0.45, 0.65, 0.85)]
     assert all(a > b for a, b in zip(s_means, s_means[1:]))
     assert s_means[0] > 0 > s_means[-1]

@@ -15,7 +15,6 @@ from rootcal.engine import (
     run_calibration,
 )
 from rootcal.simulators import RootlessQuadratic, SimulationModel, make_model
-from test_simulators import scalar_draw
 
 
 def _config(**kw):
@@ -76,8 +75,8 @@ class TestEvaluation:
 
 
 def _evaluate_reference(model, theta, reps, rng):
-    """Scalar loop: one draw and one pair of aggregates per replication."""
-    rows = [scalar_draw(model, theta, rng.child(j).generator()) for j in range(reps)]
+    """Rows from one draw call; one pair of aggregates per row in a scalar loop."""
+    rows = model.draw(theta, rng.generator(), reps)
     signed = np.array([float(np.mean(r)) for r in rows])
     squared = np.array([float(np.mean(r**2)) for r in rows])
 
@@ -89,9 +88,8 @@ def _evaluate_reference(model, theta, reps, rng):
 
 
 def _post_reference(model, theta, post_reps, rng):
-    gen = rng.generator()
-    vals = np.array([float(np.mean(scalar_draw(model, theta, gen) ** 2))
-                     for _ in range(post_reps)])
+    rows = model.draw(theta, rng.generator(), post_reps)
+    vals = np.array([float(np.mean(row ** 2)) for row in rows])
     return float(vals.mean()), 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
 
 
@@ -114,6 +112,19 @@ class TestBatchedEvaluation:
         sim = make_model(problem, RngStream(2).child(OBS_KEY))
         assert post_evaluate(sim, theta, 200, RngStream(7)) == \
             _post_reference(sim, theta, 200, RngStream(7))
+
+    def test_evaluate_point_builds_one_generator(self, monkeypatch):
+        built = []
+        generator = RngStream.generator
+
+        def counted(self):
+            built.append(self.key)
+            return generator(self)
+
+        sim = make_model("mm1", RngStream(2).child(OBS_KEY))
+        monkeypatch.setattr(RngStream, "generator", counted)
+        assert evaluate_point(sim, [6.0], 10, RngStream(6).child(2, 1)).reps == 10
+        assert built == [(2, 1)]
 
 
 class TestInputGuard:
@@ -154,8 +165,8 @@ class TestInputGuard:
             box = ParameterBox([0.0], [1.0])
             output_dim = 2
 
-            def draw_batch(self, theta, gens):
-                return np.array([[gen.random(), np.inf] for gen in gens])
+            def draw(self, theta, gen, reps=1):
+                return np.column_stack([gen.random(reps), np.full(reps, np.inf)])
 
         self._assert_both_reject(InfModel(), [0.5], "non-finite draw")
 
