@@ -8,6 +8,8 @@ that local search at the limit-form value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import ParameterBox, RngStream
@@ -56,8 +58,13 @@ def _lbfgs_direction(grad, s_hist, y_hist):
     return -q
 
 
+def _project(x, lower, upper):
+    """The nearest point of the box: np.clip's result without its wrapper's cost."""
+    return np.minimum(np.maximum(x, lower), upper)
+
+
 def _local_search(f, x0, lower, upper):
-    x = np.clip(x0, lower, upper)
+    x = _project(x0, lower, upper)
     val, grad = f(x)
     if not np.isfinite(val):
         return x, val
@@ -65,8 +72,8 @@ def _local_search(f, x0, lower, upper):
     for _ in range(ITERS):
         if grad is None:
             break
-        proj_grad = np.clip(x - grad, lower, upper) - x
-        if np.linalg.norm(proj_grad) < CONVERGENCE_TOL:
+        proj_grad = _project(x - grad, lower, upper) - x
+        if math.sqrt(float(proj_grad @ proj_grad)) < CONVERGENCE_TOL:
             break
         d = _lbfgs_direction(grad, s_hist, y_hist)
         if float(d @ grad) >= 0:
@@ -74,7 +81,7 @@ def _local_search(f, x0, lower, upper):
         step = INITIAL_STEP
         accepted = False
         while step > 1e-12:
-            x_new = np.clip(x + step * d, lower, upper)
+            x_new = _project(x + step * d, lower, upper)
             val_new, grad_new = f(x_new)
             decrease = SUFFICIENT_DECREASE * float(grad @ (x_new - x))
             if np.isfinite(val_new) and val_new <= val + decrease:

@@ -3,7 +3,8 @@
 Families LCB / PI / EI each come in a minimization flavor and a root-finding
 flavor that targets close-to-zero predictions symmetrically in sign.  Below
 the degeneracy floor on the posterior std every acquisition switches to its
-noiseless limit form.
+noiseless limit form.  The PI and EI gradients evaluate each normal pdf/cdf
+term once, then apply the product rule axis by axis on Python floats.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ def rf_ei(post: Posterior, inc: Incumbent) -> float:
     z_lo = (-av - mu) / sigma
     z_mid = -mu / sigma
     z_hi = (av - mu) / sigma
+    P_lo, P_hi = _Phi(z_lo), _Phi(z_hi)
     return float(
-        av * (_Phi(z_hi) - _Phi(z_lo))
-        + mu * (2.0 * _Phi(z_mid) - _Phi(z_hi) - _Phi(z_lo))
+        av * (P_hi - P_lo)
+        + mu * (2.0 * _Phi(z_mid) - P_hi - P_lo)
         - sigma * (2.0 * _phi(z_mid) - _phi(z_hi) - _phi(z_lo))
     )
 
@@ -173,43 +175,50 @@ def acq_gradient(kind: AcqKind, post: Posterior, grad: PosteriorGrad,
     mu, sigma = post.mean, post.std
     if sigma < STD_FLOOR:
         raise DegenerateStdError("acquisition gradient undefined at degenerate std")
-    dmu, dsigma = grad.dmean, grad.dstd
 
     if kind.family is Family.LCB:
         if kind.mode is Mode.ROOT:
-            return np.sign(mu) * dmu - kind.kappa * dsigma
-        return dmu - kind.kappa * dsigma
+            return np.sign(mu) * grad.dmean - kind.kappa * grad.dstd
+        return grad.dmean - kind.kappa * grad.dstd
 
     if inc is None:
         raise ValueError("PI/EI need an incumbent")
+    axes = list(zip(grad.dmean.tolist(), grad.dstd.tolist()))
+    s2 = sigma**2
 
     if kind.mode is Mode.MIN:
         v = inc.value
         z = (v - mu) / sigma
+        p = float(_phi(z))
         if kind.family is Family.PI:
-            dz = (-dmu * sigma - (v - mu) * dsigma) / sigma**2
-            return _phi(z) * dz
+            return np.array([p * ((-dmu * sigma - (v - mu) * dsigma) / s2)
+                             for dmu, dsigma in axes])
         # EI: d[(v-mu) Phi(z) + sigma phi(z)] collapses to the two-term form
-        return -_Phi(z) * dmu + _phi(z) * dsigma
+        P = float(_Phi(z))
+        return np.array([-P * dmu + p * dsigma for dmu, dsigma in axes])
 
     av = abs(inc.value)
     z_lo = (-av - mu) / sigma
     z_mid = -mu / sigma
     z_hi = (av - mu) / sigma
-    dz_hi = (-dmu * sigma - (av - mu) * dsigma) / sigma**2
-    dz_lo = (-dmu * sigma + (av + mu) * dsigma) / sigma**2
-    if kind.family is Family.PI:
-        return _phi(z_hi) * dz_hi - _phi(z_lo) * dz_lo
-
-    dz_mid = (-dmu * sigma + mu * dsigma) / sigma**2
-    return (
-        av * (dz_hi * _phi(z_hi) - dz_lo * _phi(z_lo))
-        + dmu * (2.0 * _Phi(z_mid) - _Phi(z_hi) - _Phi(z_lo))
-        + mu * (2.0 * dz_mid * _phi(z_mid) - dz_hi * _phi(z_hi) - dz_lo * _phi(z_lo))
-        - dsigma * (2.0 * _phi(z_mid) - _phi(z_hi) - _phi(z_lo))
-        - sigma * (
-            -2.0 * dz_mid * z_mid * _phi(z_mid)
-            + dz_lo * z_lo * _phi(z_lo)
-            + dz_hi * z_hi * _phi(z_hi)
+    p_lo, p_mid, p_hi = float(_phi(z_lo)), float(_phi(z_mid)), float(_phi(z_hi))
+    if kind.family is Family.EI:
+        dP = float(2.0 * _Phi(z_mid) - _Phi(z_hi) - _Phi(z_lo))
+        dp = 2.0 * p_mid - p_hi - p_lo
+    out = []
+    for dmu, dsigma in axes:
+        dz_hi = (-dmu * sigma - (av - mu) * dsigma) / s2
+        dz_lo = (-dmu * sigma + (av + mu) * dsigma) / s2
+        if kind.family is Family.PI:
+            out.append(p_hi * dz_hi - p_lo * dz_lo)
+            continue
+        dz_mid = (-dmu * sigma + mu * dsigma) / s2
+        out.append(
+            av * (dz_hi * p_hi - dz_lo * p_lo)
+            + dmu * dP
+            + mu * (2.0 * dz_mid * p_mid - dz_hi * p_hi - dz_lo * p_lo)
+            - dsigma * dp
+            - sigma * (-2.0 * dz_mid * z_mid * p_mid + dz_lo * z_lo * p_lo
+                       + dz_hi * z_hi * p_hi)
         )
-    )
+    return np.array(out)

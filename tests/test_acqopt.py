@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from rootcal.acqopt import OptimizationError, optimize
+from rootcal import acqopt
+from rootcal.acqopt import OptimizationError, _local_search, _project, optimize
+from rootcal.acquisition import AcqKind, Family, Incumbent, Mode, acq_gradient, acq_value
 from rootcal.core import ParameterBox, RngStream
+from rootcal.metamodel import model_at, posterior_grad
 
 
 def _quadratic(center):
@@ -77,3 +80,81 @@ class TestOptimize:
 
         with pytest.raises(OptimizationError):
             optimize(f, box, RngStream(6))
+
+
+def _surfaces():
+    """Seeded (box, objective, maximize) triples: quadratics centred inside or
+    outside the box, and every acquisition on a fitted model, in 1-3 dims."""
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3):
+        box = ParameterBox(-1.0 - rng.random(dim), 1.0 + rng.random(dim))
+        for _ in range(3):
+            yield box, _quadratic(box.from_unit(rng.uniform(-1.0, 2.0, dim))), False
+        n = 4 + 2 * dim
+        model = model_at(box, box.from_unit(rng.random((n, dim))), rng.normal(size=n),
+                         np.full(n, 0.01), 0.3)
+        inc = Incumbent(0, float(rng.normal()))
+        for kind in (AcqKind(family, mode) for family in Family for mode in Mode):
+            def objective(theta, kind=kind, model=model, inc=inc):
+                post, grad = posterior_grad(model, theta)
+                value = acq_value(kind, post, inc)
+                return value, None if grad is None else acq_gradient(kind, post, grad, inc)
+
+            yield box, objective, kind.maximize
+
+
+class TestProjection:
+    LOWER, UPPER = np.array([0.0, -1.0]), np.array([1.0, 2.0])
+
+    def _iterates(self, f, x0):
+        seen = []
+
+        def recorded(x):
+            seen.append(x.copy())
+            return f(x)
+
+        _local_search(recorded, np.array(x0), self.LOWER, self.UPPER)
+        return seen
+
+    def test_iterates_stay_in_box_from_outside_starts(self):
+        for x0 in ([5.0, -7.0], [-3.0, 0.5], [0.5, 9.0]):
+            seen = self._iterates(_quadratic([0.3, 5.0]), x0)
+            assert len(seen) > 1
+            for x in seen:
+                assert np.all(x >= self.LOWER) and np.all(x <= self.UPPER), x
+
+    def test_iterates_stay_in_box_under_huge_gradients(self):
+        slope = 1e6 * (self.UPPER - self.LOWER) * np.array([1.0, -1.0])
+
+        def f(x):
+            return float(slope @ x), slope
+
+        seen = self._iterates(f, [0.5, 0.5])
+        assert len(seen) > 1
+        for x in seen:
+            assert np.all(x >= self.LOWER) and np.all(x <= self.UPPER), x
+        assert np.array_equal(seen[-1], [0.0, 2.0])
+
+    def test_matches_clip_on_edge_values(self):
+        rng = np.random.default_rng(12)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -5.0, 7.0, np.inf, -np.inf])
+        for n in (1, 2, 3, 5, 17):
+            for _ in range(200):
+                lower = rng.choice(np.array([0.0, -0.0, -1.0]), n)
+                upper = lower + rng.choice(np.array([1.0, 3.0]), n)
+                x = np.where(rng.random(n) < 0.5, rng.choice(values, n), rng.normal(size=n))
+                want = np.clip(x, lower, upper)
+                assert _project(x, lower, upper).tobytes() == want.tobytes()
+
+    def test_optimize_matches_clip_form_bit_for_bit(self, monkeypatch):
+        def run():
+            return [optimize(f, box, RngStream(seed), maximize=maximize)
+                    for seed, (box, f, maximize) in enumerate(_surfaces())]
+
+        projected = run()
+        monkeypatch.setattr(acqopt, "_project", np.clip)
+        clipped = run()
+        assert len(projected) == 27
+        for (x, value), (x_ref, value_ref) in zip(projected, clipped):
+            assert x.tobytes() == x_ref.tobytes()
+            assert np.float64(value).tobytes() == np.float64(value_ref).tobytes()

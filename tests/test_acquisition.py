@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -19,7 +21,17 @@ from rootcal.acquisition import (
     select_incumbent,
 )
 from rootcal.core import ParameterBox
-from rootcal.metamodel import Posterior, model_at
+from rootcal.metamodel import (
+    STD_FLOOR,
+    Posterior,
+    PosteriorGrad,
+    model_at,
+    posterior,
+    posterior_grad,
+)
+
+
+KINDS = [AcqKind(family, mode) for family in Family for mode in Mode]
 
 
 def _phi(z):
@@ -95,29 +107,54 @@ class TestAcqValueDispatch:
         assert AcqKind(Family.EI, Mode.ROOT).maximize
 
 
-class TestGradients:
-    def test_spot_check_against_finite_differences(self):
-        box = ParameterBox([0.0, 0.0], [1.0, 1.0])
-        rng = np.random.default_rng(1)
-        design = rng.random((6, 2))
-        targets = rng.normal(size=6)
-        model = model_at(box, design, targets, np.full(6, 0.02), 0.5)
-        from rootcal.metamodel import posterior, posterior_grad
+def _fd_model(dim, seed, zero_mean_at=None):
+    """A noisy unit-box model; with `zero_mean_at`, targets are shifted by a
+    constant so that the posterior mean there is 0 up to rounding."""
+    box = ParameterBox(np.zeros(dim), np.ones(dim))
+    rng = np.random.default_rng(seed)
+    n = 3 + 3 * dim
+    design = rng.random((n, dim))
+    targets = rng.normal(size=n)
+    if zero_mean_at is not None:
+        def mean(t):
+            return posterior(model_at(box, design, t, np.full(n, 0.02), 0.5),
+                             zero_mean_at).mean
 
-        inc = Incumbent(0, 0.4)
-        x = np.array([0.31, 0.62])
+        targets = targets - mean(targets) / mean(np.ones(n))
+    return model_at(box, design, targets, np.full(n, 0.02), 0.5)
+
+
+class TestGradients:
+    # (dim, model seed, point, incumbent value, shift targets to mean 0 there)
+    FD_CASES = [
+        (2, 1, [0.31, 0.62], 0.4, False),
+        (1, 2, [0.37], 0.4, False),
+        (3, 3, [0.3, 0.55, 0.7], 0.4, False),
+        (2, 1, [0.31, 0.62], 0.0, False),
+        (2, 4, [0.45, 0.2], 0.4, True),
+    ]
+
+    def test_spot_check_against_finite_differences(self):
         h = 1e-6
-        for family in Family:
-            for mode in Mode:
-                kind = AcqKind(family, mode)
+        for dim, seed, x, inc_value, zero_mean in self.FD_CASES:
+            x = np.array(x)
+            model = _fd_model(dim, seed, x if zero_mean else None)
+            if zero_mean:
+                assert abs(posterior(model, x).mean) < 1e-12
+            inc = Incumbent(0, inc_value)
+            for kind in KINDS:
+                # |mu| has a kink at mu = 0: root-LCB has no derivative there
+                if zero_mean and kind == AcqKind(Family.LCB, Mode.ROOT):
+                    continue
                 grad = acq_gradient(kind, *posterior_grad(model, x), inc)
-                for axis in range(2):
+                assert grad.shape == (dim,)
+                for axis in range(dim):
                     hi, lo = x.copy(), x.copy()
                     hi[axis] += h
                     lo[axis] -= h
                     fd = (acq_value(kind, posterior(model, hi), inc)
                           - acq_value(kind, posterior(model, lo), inc)) / (2 * h)
-                    assert grad[axis] == pytest.approx(fd, abs=1e-6)
+                    assert grad[axis] == pytest.approx(fd, abs=1e-6), (dim, x, kind, axis)
 
 
 class TestSelectIncumbent:
@@ -138,8 +175,6 @@ class TestSelectIncumbent:
         assert inc.value == -0.5
 
     def test_stochastic_min_uses_posterior_mean(self):
-        from rootcal.metamodel import posterior
-
         model = self._model()
         inc = select_incumbent(model, Mode.MIN, design_posteriors(model))
         means = [posterior(model, x).mean for x in model.design]
@@ -147,8 +182,6 @@ class TestSelectIncumbent:
         assert inc.value == pytest.approx(means[inc.index])
 
     def test_stochastic_root_penalizes_uncertainty(self):
-        from rootcal.metamodel import posterior
-
         model = self._model()
         inc = select_incumbent(model, Mode.ROOT, design_posteriors(model))
         scores = [posterior(model, x).mean ** 2 + posterior(model, x).var
@@ -159,3 +192,81 @@ class TestSelectIncumbent:
         model = self._model()
         with pytest.raises(ValueError, match="2 posteriors for 3 design points"):
             select_incumbent(model, Mode.MIN, design_posteriors(model)[:2])
+
+
+# SHA-256 of every acq_value, acq_gradient and posterior_grad result over
+# `_oracle_cases`, recorded before the scalar gradients were rewritten per
+# axis.  Any change to these bytes is a behaviour change, not a speedup.
+ORACLE = "67b61c4aa80a2bf601c9a2045b6d87199272d06cbfea695d4bf8796e439d2c42"
+
+
+def _oracle_cases():
+    """Seeded (post, grad, inc) cases and the posterior_grad bytes behind them.
+
+    Fitted models in 1-3 dimensions are probed at interior points, at design
+    points (small std), and on box faces and corners.  Synthetic posteriors
+    add std just above (and, for values only, just below) STD_FLOOR, a mean
+    of exactly 0 and an incumbent of exactly 0.
+    """
+    rng = np.random.default_rng(20261018)
+    cases, chunks = [], []
+    for dim in (1, 2, 3):
+        box = ParameterBox(-1.0 - rng.random(dim), 1.0 + 2.0 * rng.random(dim))
+        n = 4 + 2 * dim
+        design = box.from_unit(rng.random((n, dim)))
+        targets = rng.normal(size=n)
+        model = model_at(box, design, targets, np.full(n, 1e-6), 0.4)
+        faces = []
+        for axis in range(dim):
+            for bound in (box.lower, box.upper):
+                theta = box.from_unit(rng.random(dim))
+                theta[axis] = bound[axis]
+                faces.append(theta)
+        thetas = ([box.from_unit(u) for u in rng.random((6, dim))] + list(design[:3])
+                  + faces + [box.lower.copy(), box.upper.copy()])
+        incs = [Incumbent(0, float(targets[0])), Incumbent(0, 0.0),
+                Incumbent(0, float(rng.normal()))]
+        for theta in thetas:
+            post, grad = posterior_grad(model, theta)
+            chunks.append(np.array([post.mean, post.var]))
+            if grad is not None:
+                chunks += [grad.dmean, grad.dstd]
+            cases += [(post, grad, inc) for inc in incs]
+        for std in (STD_FLOOR * (1.0 + 1e-9), STD_FLOOR * 0.5, 1e-3, 0.3, 3.0):
+            for mean in (0.0, float(rng.normal()), 1e-3 * float(rng.normal())):
+                post = Posterior(mean=mean, var=std * std)
+                grad = PosteriorGrad(dmean=rng.normal(size=dim), dstd=rng.normal(size=dim))
+                for inc in (Incumbent(0, 0.0), Incumbent(0, float(rng.normal()))):
+                    cases.append((post, grad if post.std >= STD_FLOOR else None, inc))
+    return cases, chunks
+
+
+def oracle_digest() -> str:
+    cases, chunks = _oracle_cases()
+    for post, grad, inc in cases:
+        for kind in KINDS:
+            chunks.append(np.array([acq_value(kind, post, inc)]))
+            if grad is not None:
+                chunks.append(acq_gradient(kind, post, grad, inc))
+    sha = hashlib.sha256()
+    for chunk in chunks:
+        sha.update(np.asarray(chunk, dtype="<f8").tobytes())
+    return sha.hexdigest()
+
+
+class TestBitIdentity:
+    def test_corpus_covers_the_edges(self):
+        cases, _ = _oracle_cases()
+        stds = [post.std for post, _, _ in cases]
+        assert min(s for s in stds if s >= STD_FLOOR) < 1.01 * STD_FLOOR
+        assert any(s < STD_FLOOR for s in stds)
+        assert any(post.mean == 0.0 and grad is not None for post, grad, _ in cases)
+        assert any(inc.value == 0.0 for _, _, inc in cases)
+        assert {grad.dmean.size for _, grad, _ in cases if grad is not None} == {1, 2, 3}
+
+    def test_outputs_match_recorded_bytes(self):
+        assert oracle_digest() == ORACLE
+
+
+if __name__ == "__main__":
+    print(f'ORACLE = "{oracle_digest()}"')

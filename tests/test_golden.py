@@ -28,14 +28,17 @@ def _method(mode, surrogate, acq, rss):
 
 
 # problem -> methods, covering both surrogates, both modes, all three
-# families and both search-space reduction rules
+# families and both search-space reduction rules; the benchmark's method
+# (root, stochastic, ei, rss) runs on every problem but rootless
 RUNS = {
     "himmelblau2d": [_method("root", "stochastic", "ei", True),
                      _method("min", "deterministic", "lcb", False)],
     "mm1": [_method("root", "deterministic", "pi", True),
-            _method("min", "stochastic", "ei", False)],
+            _method("min", "stochastic", "ei", False),
+            _method("root", "stochastic", "ei", True)],
     "sir": [_method("root", "stochastic", "pi", True),
-            _method("min", "deterministic", "ei", False)],
+            _method("min", "deterministic", "ei", False),
+            _method("root", "stochastic", "ei", True)],
     "rootless": [_method("root", "deterministic", "lcb", True),
                  _method("min", "stochastic", "pi", False)],
 }
@@ -52,8 +55,10 @@ GOLDEN = {
     "run/himmelblau2d/1/trace": "3d9fbb421f514ff3711052211485347366671e8744d1cb1f54ecde260e60afe9",
     "run/mm1/0/trace": "11c60c0834fd47e59d76fea7f53e2a072fa2f961cb89d2ad970df100698b38e1",
     "run/mm1/1/trace": "e884fdd41b2e05197b8525cda7b1f46dbad18bd085f4d3fe9c92aed167ef05f1",
+    "run/mm1/2/trace": "e7254ed0f8f2f5afd1c5e6c165a83dd025b84d9f0235e41e1da67815d9e50a0f",
     "run/sir/0/trace": "cb2d9c20491209870950812a82059a7ddb0108c84150a87b9139c6c48ecd8018",
     "run/sir/1/trace": "c9245de04b2e31abacabff33bd4f20f0239fe30d018bac84c4055920099479fd",
+    "run/sir/2/trace": "3dc1f14b6e1558705c16fcc71e8375e6c500be2112259e2b3edbe20920d7d30c",
     "run/rootless/0/trace": "0ef776e84fbdc29624ec999c265b9226b4d7bd4edb4c48a5cfe4a4f2e004745c",
     "run/rootless/1/trace": "3cdaa09803b4df4dbd7e60f7f3d0d1d8d4436ddb7fcb44761f9b0aa6893323e1",
     "sweep/long": "d057167bb6a9b43734aca42acf2c4df743dff15af11721823eb84ed290ca05cd",
