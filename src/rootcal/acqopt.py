@@ -29,28 +29,25 @@ class OptimizationError(RuntimeError):
     """Every start produced a non-finite objective value."""
 
 
-def _lbfgs_direction(grad, s_hist, y_hist):
-    """Two-loop recursion; falls back to steepest descent with empty memory."""
+def _lbfgs_direction(grad, hist):
+    """Two-loop recursion over (s, y, rho) pairs, oldest first, where rho is
+    1 / s'y or None for a pair without positive curvature (skipped); falls
+    back to steepest descent with empty memory."""
     q = grad.copy()
     alphas = []
-    rhos = []
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        sy = float(s @ y)
-        if sy <= 1e-12:
-            rhos.append(None)
+    for s, y, rho in reversed(hist):
+        if rho is None:
             alphas.append(0.0)
             continue
-        rho = 1.0 / sy
         a = rho * float(s @ q)
         q -= a * y
-        rhos.append(rho)
         alphas.append(a)
-    if s_hist:
-        s, y = s_hist[-1], y_hist[-1]
+    if hist:
+        s, y, _ = hist[-1]
         yy = float(y @ y)
         gamma = float(s @ y) / yy if yy > 1e-12 else 1.0
         q *= max(gamma, 1e-12)
-    for (s, y), rho, a in zip(zip(s_hist, y_hist), reversed(rhos), reversed(alphas)):
+    for (s, y, rho), a in zip(hist, reversed(alphas)):
         if rho is None:
             continue
         b = rho * float(y @ q)
@@ -68,14 +65,14 @@ def _local_search(f, x0, lower, upper):
     val, grad = f(x)
     if not np.isfinite(val):
         return x, val
-    s_hist, y_hist = [], []
+    hist = []
     for _ in range(ITERS):
         if grad is None:
             break
         proj_grad = _project(x - grad, lower, upper) - x
         if math.sqrt(float(proj_grad @ proj_grad)) < CONVERGENCE_TOL:
             break
-        d = _lbfgs_direction(grad, s_hist, y_hist)
+        d = _lbfgs_direction(grad, hist)
         if float(d @ grad) >= 0:
             d = -grad
         step = INITIAL_STEP
@@ -91,11 +88,11 @@ def _local_search(f, x0, lower, upper):
         if not accepted:
             break
         if grad_new is not None:
-            s_hist.append(x_new - x)
-            y_hist.append(grad_new - grad)
-            if len(s_hist) > MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
+            s, y = x_new - x, grad_new - grad
+            sy = float(s @ y)
+            hist.append((s, y, None if sy <= 1e-12 else 1.0 / sy))
+            if len(hist) > MEMORY:
+                hist.pop(0)
         x, val, grad = x_new, val_new, grad_new
     return x, val
 
@@ -105,10 +102,11 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
     """Best point over `STARTS` local searches from uniform random starts,
     and the objective's value there.
 
-    `objective(theta) -> (value, grad_or_None)`.  Both the value at each
-    start and at each line-search trial count toward the reduction, so the
-    result never scores worse than any start point.  The returned value is
-    the one the objective gave at the returned point.
+    `objective(theta) -> (value, grad_or_None)`, the gradient a float array,
+    which a minimization uses as it is.  Both the value at each start and at
+    each line-search trial count toward the reduction, so the result never
+    scores worse than any start point.  The returned value is the one the
+    objective gave at the returned point.
     """
     gen = rng.generator()
     sign = -1.0 if maximize else 1.0
@@ -122,7 +120,7 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
     best_x, best_val = None, np.inf
     for _ in range(STARTS):
         x0 = box.lower + gen.random(box.dim) * box.width
-        x, val = _local_search(f, x0, box.lower, box.upper)
+        x, val = _local_search(f if maximize else objective, x0, box.lower, box.upper)
         if np.isfinite(val) and (
             val < best_val
             or (val == best_val and best_x is not None and tuple(x) < tuple(best_x))

@@ -20,30 +20,31 @@ CONTAINS_ATOL = 1e-12  # ParameterBox.contains tolerance on each bound
 
 @dataclass(frozen=True)
 class ParameterBox:
-    """Compact hyperrectangular search domain with per-axis bounds."""
+    """Compact hyperrectangular search domain with per-axis bounds.
+
+    The bounds are read-only copies of the caller's arrays, and ``width``
+    (``upper - lower``) is computed once, so none of them can go stale.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.array(self.lower, dtype=float, ndmin=1)
+        upper = np.array(self.upper, dtype=float, ndmin=1)
         if lower.ndim != 1 or upper.shape != lower.shape:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if lower.size < 1:
             raise ValueError("box must have at least one axis")
         if not np.all(lower < upper):
             raise ValueError("lower bound must be strictly below upper bound on every axis")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        for name, value in (("lower", lower), ("upper", upper), ("width", upper - lower)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
 
     def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float)

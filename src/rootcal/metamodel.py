@@ -4,6 +4,11 @@ log-marginal-likelihood fitting.
 Inputs are mapped affinely to the unit hypercube before any kernel
 evaluation, so one lengthscale is meaningful across axes with different
 units.  Posterior gradients are reported in original parameter units.
+
+The constants that every posterior query needs (the box's reciprocal
+widths, the kernel's lengthscale terms and a Fortran-ordered Cholesky
+factor) are computed once per model, by ``model_at``, with the same
+operations a query would apply, so a query returns the same bytes.
 """
 
 from __future__ import annotations
@@ -70,6 +75,12 @@ class GpModel:
     unit_design: np.ndarray  # box.to_unit(design)
     chol: np.ndarray  # lower Cholesky factor of K + Sigma + jitter I
     alpha: np.ndarray  # (K + Sigma + jitter I)^-1 targets
+    # query constants, computed once by model_at
+    chol_f: np.ndarray  # chol in Fortran order, which dpotrs takes without a copy
+    inv_width: np.ndarray  # 1 / box.width, the chain rule to original units
+    neg_two_inv_width: np.ndarray  # -2.0 * inv_width, the same for the variance
+    neg_two_l2: float  # -(2 l^2), the kernel exponent's divisor
+    neg_l2: float  # -(l^2), the kernel Jacobian's divisor
 
     @property
     def size(self) -> int:
@@ -244,19 +255,25 @@ def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
         jitter = max(10.0 * jitter, 1e-10)  # a zero start escalates too
     else:
         raise ModelFitError("kernel system not positive definite after jitter escalation")
+    inv_width, l2 = 1.0 / box.width, lengthscale**2
     return GpModel(box, design, targets, noise_diag, lengthscale, jitter, unit,
-                   L, _cho_solve(L, targets))
+                   L, _cho_solve(L, targets), np.asfortranarray(L), inv_width,
+                   -2.0 * inv_width, -(2.0 * l2), -l2)
 
 
 def _kernel_vector(model: GpModel, theta) -> tuple[np.ndarray, np.ndarray]:
     """theta minus each design point in unit coordinates, (n, m_theta), and the
-    kernel vector against the design."""
-    u = model.box.to_unit(np.atleast_1d(_finite("theta", theta)))
-    if u.shape != model.unit_design.shape[1:]:
-        raise ValueError(f"theta {np.asarray(theta).tolist()} does not match the "
-                         f"model's {model.box.dim} axes")
-    diff = u - model.unit_design
-    return diff, _rbf(np.sum(diff**2, axis=-1), model.lengthscale)
+    kernel vector against the design.  A 1-D model also takes a scalar theta."""
+    box, x = model.box, np.asarray(theta, dtype=float)
+    if x.shape != box.lower.shape:
+        if x.ndim or box.dim > 1:
+            raise ValueError(f"theta {x.tolist()} does not match the model's {box.dim} axes")
+        x = x.reshape(1)
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"theta must be finite, got {np.asarray(theta, dtype=float).tolist()}")
+    # box.to_unit and _rbf's arithmetic; -d2 / c and d2 / -c are the same bits
+    diff = (x - box.lower) / box.width - model.unit_design
+    return diff, np.exp(np.add.reduce(diff * diff, axis=-1) / model.neg_two_l2)
 
 
 def _posterior_at(model: GpModel, kvec: np.ndarray) -> Posterior:
@@ -275,10 +292,8 @@ def posterior_grad(model: GpModel, theta) -> tuple[Posterior, PosteriorGrad | No
     if post.std < STD_FLOOR:
         return post, None
     # Jacobian of the kernel vector in unit coordinates, (m_theta, n)
-    G = -(diff * kvec[:, None]).T / model.lengthscale**2
+    G = (diff * kvec[:, None]).T / model.neg_l2
     # chain rule of the unit-cube mapping back to original units
-    scale = 1.0 / model.box.width
-    dmean = scale * (G @ model.alpha)
-    Kinv_k = _cho_solve(model.chol, kvec)
-    dvar = -2.0 * scale * (G @ Kinv_k)
+    dmean = model.inv_width * (G @ model.alpha)
+    dvar = model.neg_two_inv_width * (G @ _cho_solve(model.chol_f, kvec))
     return post, PosteriorGrad(dmean=dmean, dstd=dvar / (2.0 * post.std))

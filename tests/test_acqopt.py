@@ -1,8 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rootcal import acqopt
-from rootcal.acqopt import OptimizationError, _local_search, _project, optimize
+from rootcal.acqopt import (
+    OptimizationError,
+    _lbfgs_direction,
+    _local_search,
+    _project,
+    optimize,
+)
 from rootcal.acquisition import AcqKind, Family, Incumbent, Mode, acq_gradient, acq_value
 from rootcal.core import ParameterBox, RngStream
 from rootcal.metamodel import model_at, posterior_grad
@@ -158,3 +166,113 @@ class TestProjection:
         for (x, value), (x_ref, value_ref) in zip(projected, clipped):
             assert x.tobytes() == x_ref.tobytes()
             assert np.float64(value).tobytes() == np.float64(value_ref).tobytes()
+
+
+def _curvature_surfaces():
+    """Seeded (box, objective, maximize) triples on which s'y <= 1e-12 for some
+    accepted steps, so L-BFGS skips those pairs: saddles in 2-3 dims and a
+    negative-curvature bowl."""
+    rng = np.random.default_rng(13)
+    for dim in (2, 3):
+        box = ParameterBox(-1.0 - rng.random(dim), 1.0 + rng.random(dim))
+        center = box.from_unit(rng.random(dim))
+        signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+
+        def saddle(x, center=center, signs=signs):
+            d = x - center
+            return float(signs @ (d * d)), 2.0 * signs * d
+
+        yield box, saddle, False
+    box = ParameterBox([-1.0], [2.0])
+    yield box, _quadratic([0.3]), True
+
+
+def _optimizer_results():
+    surfaces = list(_surfaces()) + list(_curvature_surfaces())
+    return [optimize(f, box, RngStream(seed), maximize=maximize)
+            for seed, (box, f, maximize) in enumerate(surfaces)]
+
+
+# SHA-256 of optimize's (x, value) bytes over `_surfaces` and
+# `_curvature_surfaces`, recorded before the L-BFGS history kept its rho values.
+OPTIMIZER_ORACLE = "8466849873d1f8fe4144589076ff90cae5e92eaba86db54dbff4fe787d6c9ee9"
+
+
+def optimizer_digest() -> str:
+    sha = hashlib.sha256()
+    for x, value in _optimizer_results():
+        sha.update(np.asarray(x, dtype="<f8").tobytes())
+        sha.update(np.asarray([value], dtype="<f8").tobytes())
+    return sha.hexdigest()
+
+
+def _two_loop_reference(grad, s_hist, y_hist):
+    """The two-loop recursion that recomputes every s'y on each call."""
+    q = grad.copy()
+    alphas = []
+    rhos = []
+    for s, y in zip(reversed(s_hist), reversed(y_hist)):
+        sy = float(s @ y)
+        if sy <= 1e-12:
+            rhos.append(None)
+            alphas.append(0.0)
+            continue
+        rho = 1.0 / sy
+        a = rho * float(s @ q)
+        q -= a * y
+        rhos.append(rho)
+        alphas.append(a)
+    if s_hist:
+        s, y = s_hist[-1], y_hist[-1]
+        yy = float(y @ y)
+        gamma = float(s @ y) / yy if yy > 1e-12 else 1.0
+        q *= max(gamma, 1e-12)
+    for (s, y), rho, a in zip(zip(s_hist, y_hist), reversed(rhos), reversed(alphas)):
+        if rho is None:
+            continue
+        b = rho * float(y @ q)
+        q += (a - b) * s
+    return -q
+
+
+class TestLbfgs:
+    def test_optimizer_matches_recorded_bytes(self):
+        assert optimizer_digest() == OPTIMIZER_ORACLE
+
+    def test_curvature_surfaces_skip_pairs(self, monkeypatch):
+        seen = []
+
+        def recording(grad, hist):
+            seen.extend(rho for _, _, rho in hist)
+            return _lbfgs_direction(grad, hist)
+
+        monkeypatch.setattr(acqopt, "_lbfgs_direction", recording)
+        for seed, (box, f, maximize) in enumerate(_curvature_surfaces()):
+            optimize(f, box, RngStream(seed), maximize=maximize)
+        assert any(rho is None for rho in seen)
+        assert any(rho is not None for rho in seen)
+
+    def test_direction_equals_two_loop_reference(self):
+        rng = np.random.default_rng(14)
+        skipped = 0
+        for _ in range(500):
+            dim = int(rng.integers(1, 5))
+            s_hist, y_hist, hist = [], [], []
+            for _ in range(int(rng.integers(0, 6))):
+                s = rng.normal(size=dim)
+                kind = rng.random()
+                if kind < 0.25:
+                    y = -rng.uniform(0.1, 2.0) * s  # negative curvature
+                elif kind < 0.35:
+                    y = np.zeros(dim)  # a flat step
+                else:
+                    y = s * rng.uniform(0.1, 3.0, dim) + 0.1 * rng.normal(size=dim)
+                sy = float(s @ y)
+                skipped += sy <= 1e-12
+                s_hist.append(s)
+                y_hist.append(y)
+                hist.append((s, y, None if sy <= 1e-12 else 1.0 / sy))
+            grad = rng.normal(size=dim)
+            got = _lbfgs_direction(grad, hist)
+            assert got.tobytes() == _two_loop_reference(grad, s_hist, y_hist).tobytes()
+        assert skipped > 100

@@ -37,6 +37,28 @@ class TestParameterBox:
         assert np.allclose(box.from_unit(u), theta)
 
 
+    def test_bounds_are_copies(self):
+        lower, upper = np.array([0.0, -1.0]), np.array([2.0, 3.0])
+        box = ParameterBox(lower, upper)
+        lower[0], upper[1] = 5.0, -7.0
+        assert box.lower.tolist() == [0.0, -1.0]
+        assert box.upper.tolist() == [2.0, 3.0]
+        assert box.width.tolist() == [2.0, 4.0]
+
+    def test_bounds_and_width_are_read_only(self):
+        box = ParameterBox([0.0, -1.0], [2.0, 3.0])
+        for array in (box.lower, box.upper, box.width):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert box.to_unit([1.0, 1.0]).tolist() == [0.5, 0.5]
+
+    def test_repr_and_equality_unchanged(self):
+        box = ParameterBox([0.5], [2.0])
+        assert repr(box) == "ParameterBox(lower=array([0.5]), upper=array([2.]))"
+        assert box == ParameterBox(np.array([0.5]), [2.0])
+        assert box != ParameterBox([0.0], [2.0])
+
+
 class TestRngStream:
     def test_same_key_same_draws(self):
         a = RngStream(7).child(1, 2).generator().random(5)

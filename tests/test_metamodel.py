@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,30 @@ class TestNonFiniteInputs:
             fit(box, design, targets, noise)
 
 
+class TestThetaInputs:
+    def _model(self, dim):
+        box, design, targets, noise = _random_problem(15, dim=dim, noise_scale=0.1)
+        return model_at(box, design, targets, noise, 0.4)
+
+    def test_scalar_list_tuple_and_array_agree_on_a_1d_model(self):
+        model = self._model(1)
+        for x in (0.0, 0.37, 1.0):
+            want = None
+            for theta in (x, np.float64(x), np.array(x), [x], (x,), np.array([x])):
+                post, grad = posterior_grad(model, theta)
+                got = np.concatenate([[post.mean, post.var], grad.dmean, grad.dstd])
+                assert posterior(model, theta) == post
+                want = got if want is None else want
+                assert got.tobytes() == want.tobytes(), theta
+
+    @pytest.mark.parametrize("theta", [[[0.2, 0.3]], [0.2], [0.2, 0.3, 0.4], 0.2])
+    def test_wrong_shape_raises_naming_theta(self, theta):
+        model = self._model(2)
+        for call in (posterior, posterior_grad):
+            with pytest.raises(ValueError, match="theta"):
+                call(model, theta)
+
+
 def _spd(rng, n):
     A = rng.normal(size=(n, n))
     return A @ A.T + n * np.eye(n)
@@ -313,3 +339,86 @@ def test_kernel_vector_equals_kernel_matrix_row():
         want = kernel_matrix(box.to_unit(theta)[None], model.unit_design,
                              model.lengthscale)[0]
         assert np.array_equal(_kernel_vector(model, theta)[1], want)
+
+
+# SHA-256 of every posterior and posterior_grad result over `_surrogate_cases`,
+# recorded before the per-model query constants were introduced.  Any change
+# to these bytes is a behaviour change, not a speedup.
+SURROGATE_ORACLE = "8b4e5ecce29479ebe57f5f3051b493d3324f8ac13ffc50a71b60864b81cc2a93"
+
+
+def _surrogate_models(rng):
+    """Seeded models: fitted with zero noise (the deterministic-kriging path)
+    and with stochastic noise, fixed-lengthscale models, and a model whose
+    zero starting jitter escalates on near-duplicate design points, in 1-4 dims."""
+    for dim in (1, 2, 3, 4):
+        lower = rng.uniform(-3.0, 1.0, dim)
+        box = ParameterBox(lower, lower + rng.uniform(0.5, 5.0, dim))
+        for noise_scale in (0.0, 0.05):
+            n = int(rng.integers(2, 13))
+            noise = rng.uniform(0.0, noise_scale, n) if noise_scale else np.zeros(n)
+            yield fit(box, box.from_unit(rng.random((n, dim))), rng.normal(size=n), noise)
+        n = int(rng.integers(2, 16))
+        yield model_at(box, box.from_unit(rng.random((n, dim))), rng.normal(size=n),
+                       rng.uniform(0.0, 0.02, n), float(np.exp(rng.uniform(-2.0, 0.5))))
+        design = box.from_unit(rng.random((4, dim)))
+        design = np.vstack([design, design[:2] + 1e-9 * box.width])
+        yield model_at(box, design, rng.normal(size=6), np.zeros(6), 0.7, jitter=0.0)
+        # zero jitter that factors: a posterior std of 0 at some design points
+        n = 2 + dim
+        yield model_at(box, box.from_unit(rng.random((n, dim))), rng.normal(size=n),
+                       np.zeros(n), 0.2, jitter=0.0)
+
+
+def _theta_forms(theta):
+    """theta as a tuple, a list and an array, and as a scalar on a 1-D model."""
+    forms = [tuple(theta.tolist()), theta.tolist(), theta]
+    return forms + [float(theta[0]), np.float64(theta[0])] if theta.size == 1 else forms
+
+
+def _surrogate_cases():
+    """(model, theta) pairs: interior points, design points and box corners."""
+    rng = np.random.default_rng(20261019)
+    for model in _surrogate_models(rng):
+        box = model.box
+        corners = [np.where(rng.random(box.dim) < 0.5, box.lower, box.upper)
+                   for _ in range(2)]
+        thetas = ([box.from_unit(u) for u in rng.random((5, box.dim))]
+                  + list(model.design[:3]) + corners + [box.lower.copy(), box.upper.copy()])
+        for theta in thetas:
+            for form in _theta_forms(theta):
+                yield model, form
+
+
+def surrogate_digest() -> str:
+    sha = hashlib.sha256()
+    for model, theta in _surrogate_cases():
+        post = posterior(model, theta)
+        fused, grad = posterior_grad(model, theta)
+        chunks = [[post.mean, post.var, fused.mean, fused.var]]
+        if grad is not None:
+            chunks += [grad.dmean, grad.dstd]
+        for chunk in chunks:
+            sha.update(np.asarray(chunk, dtype="<f8").tobytes())
+    return sha.hexdigest()
+
+
+class TestSurrogateBitIdentity:
+    def test_corpus_covers_the_paths(self):
+        models = list(_surrogate_models(np.random.default_rng(20261019)))
+        assert {m.box.dim for m in models} == {1, 2, 3, 4}
+        assert any(np.all(m.noise_diag == 0.0) and m.jitter == 1e-10 for m in models)
+        assert any(np.any(m.noise_diag > 0.0) for m in models)
+        # the fourth of each dimension's five models starts from zero jitter on
+        # near-duplicate points
+        assert all(m.jitter > 0.0 for m in models[3::5])
+        cases = list(_surrogate_cases())
+        assert any(posterior_grad(m, t)[1] is None for m, t in cases)
+        assert {type(t) for _, t in cases} >= {tuple, list, np.ndarray, float, np.float64}
+
+    def test_outputs_match_recorded_bytes(self):
+        assert surrogate_digest() == SURROGATE_ORACLE
+
+
+if __name__ == "__main__":
+    print(f'SURROGATE_ORACLE = "{surrogate_digest()}"')

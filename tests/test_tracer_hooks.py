@@ -32,3 +32,38 @@ def test_install_and_restore_round_trip():
         tracer.restore()
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def test_each_objective_call_crosses_every_layer(monkeypatch):
+    """Every acquisition objective call is one posterior_grad and one acq_value
+    span, and one acq_gradient span unless the point is degenerate, so a fused
+    call that hid a layer from the tracer would show here."""
+    from rootcal import AcqKind, Family, Mode, RngStream, engine, make_model
+    from rootcal.engine import OBS_KEY, RunConfig, run_calibration
+
+    # calibrations rarely meet a degenerate std, so every seventh call reports one
+    calls, posterior_grad = [], engine.posterior_grad
+
+    def sometimes_degenerate(model, theta):
+        calls.append(None)
+        post, grad = posterior_grad(model, theta)
+        return post, None if len(calls) % 7 == 0 else grad
+
+    monkeypatch.setattr(engine, "posterior_grad", sometimes_degenerate)
+    tracer = _load_tracer().Tracer()
+    for stochastic, acq in ((True, AcqKind(Family.EI, Mode.ROOT)),
+                            (False, AcqKind(Family.LCB, Mode.MIN))):
+        cfg = RunConfig(objective_mode=acq.mode, stochastic=stochastic, acq=acq,
+                        use_rss=stochastic, budget=2, reps_per_point=3, post_reps=20)
+        sim = make_model("himmelblau2d", RngStream(0).child(0).child(OBS_KEY))
+        try:
+            tracer.install()
+            run_calibration(sim, cfg)
+        finally:
+            tracer.restore()
+    calls = tracer.totals()[0]
+    objective = calls["acqopt.objective"]
+    assert objective > 0 and tracer.counts["acqopt.degenerate"] > 0
+    assert calls["metamodel.posterior_grad"] == objective
+    assert calls["acquisition.acq_value"] == objective
+    assert calls["acquisition.acq_gradient"] == objective - tracer.counts["acqopt.degenerate"]
