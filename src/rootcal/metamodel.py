@@ -38,6 +38,8 @@ __all__ = [
 STD_FLOOR = 1e-9
 
 LENGTHSCALE_BOUNDS = (1e-2, 1e2)
+_GRID = np.geomspace(*LENGTHSCALE_BOUNDS, 50)  # fit's candidate lengthscales
+_LOG_2PI = np.log(2 * np.pi)
 
 
 class ModelFitError(RuntimeError):
@@ -97,7 +99,7 @@ def _finite(name: str, x) -> np.ndarray:
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise squared distances between the rows of 2-D A and B."""
-    return np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+    return np.add.reduce((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
 
 
 def _rbf(d2, lengthscale: float) -> np.ndarray:
@@ -117,11 +119,22 @@ def kernel_matrix(A, B, lengthscale: float) -> np.ndarray:
     return _rbf(_sq_dists(A, B), lengthscale)
 
 
+def _plus_diagonal(A: np.ndarray, v) -> np.ndarray:
+    """A with v added in place to its diagonal, or to each stacked matrix's, in any
+    layout; off the diagonal this equals adding np.diag(v), as x + 0.0 is x for kernel entries."""
+    diagonal = np.einsum("...ii->...i", A)  # a writeable view
+    diagonal += v
+    return A
+
+
 def _system(unit_design, noise_diag, lengthscale) -> np.ndarray:
     """K + Sigma; callers add jitter I to it."""
-    if not lengthscale > 0:
-        raise ValueError("lengthscale must be positive")
-    return kernel_matrix(unit_design, unit_design, lengthscale) + np.diag(noise_diag)
+    l = float(lengthscale)  # float arithmetic overflows to inf without a warning
+    if not (l > 0 and 0 < 2.0 * l * l < math.inf):
+        raise ValueError(f"lengthscale must be positive with 2 l^2 positive and finite, got {l}")
+    if np.shape(noise_diag) != (len(unit_design),):
+        raise ValueError("noise_diag length must match design size")
+    return _plus_diagonal(kernel_matrix(unit_design, unit_design, lengthscale), noise_diag)
 
 
 def _factor(system) -> np.ndarray | None:
@@ -160,8 +173,8 @@ def _lml(L, targets) -> float:
         return -np.inf
     alpha = _cho_solve(L, targets)
     return float(
-        -0.5 * targets @ alpha - np.sum(np.log(np.diag(L)))
-        - 0.5 * targets.size * np.log(2 * np.pi)
+        -0.5 * targets @ alpha - np.add.reduce(np.log(L.diagonal()))
+        - 0.5 * targets.size * _LOG_2PI
     )
 
 
@@ -172,19 +185,27 @@ def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
     targets = _finite("targets", targets)
     _finite("jitter", jitter)
     system = _system(unit_design, _finite("noise_diag", noise_diag), lengthscale)
-    return _lml(_factor(system + jitter * np.eye(targets.size)), targets)
+    return _lml(_factor(_plus_diagonal(system, jitter)), targets)
 
 
 def _grid_lml(unit, targets, noise_diag, grid) -> np.ndarray:
     """log_marginal_likelihood at each lengthscale of grid, bit for bit.
 
-    The candidates share one distance matrix.  Each system is built with
-    kernel_matrix's 2-D expression, since a broadcast exp over a stack of
-    candidates rounds differently.
+    All candidates are built from one distance matrix as one stack and
+    factored by one stacked cholesky.  Each divisor is the scalar 2 l^2 that
+    _rbf computes: the array 2.0 * grid**2 rounds differently on one of
+    fit's 50 candidates, while the stacked exp, diagonal adds and cholesky
+    match the 2-D ones.  A candidate that is not positive definite makes the
+    stacked call raise; each is then factored alone, and that one gives -inf.
     """
-    d2, jitter_eye = _sq_dists(unit, unit), 1e-10 * np.eye(targets.size)
-    return np.array([_lml(_factor(_rbf(d2, l) + np.diag(noise_diag) + jitter_eye), targets)
-                     for l in grid])
+    divisors = np.array([2.0 * l**2 for l in grid])[:, None, None]
+    systems = _plus_diagonal(_plus_diagonal(np.exp(-_sq_dists(unit, unit) / divisors),
+                                            noise_diag), 1e-10)
+    try:
+        factors = np.linalg.cholesky(systems)
+    except np.linalg.LinAlgError:
+        factors = [_factor(system) for system in systems]
+    return np.array([_lml(L, targets) for L in factors])
 
 
 def _golden_section(f, lo, hi, rel_tol=1e-4):
@@ -228,13 +249,12 @@ def fit(box: ParameterBox, design, targets, noise_diag=None) -> GpModel:
     def lml(l):
         return log_marginal_likelihood(unit, targets, noise_diag, l)
 
-    grid = np.geomspace(*LENGTHSCALE_BOUNDS, 50)
-    vals = _grid_lml(unit, targets, noise_diag, grid)
+    vals = _grid_lml(unit, targets, noise_diag, _GRID)
     if not np.any(np.isfinite(vals)):
         raise ModelFitError("log marginal likelihood is -inf over the whole grid")
     best = int(np.argmax(vals))
-    g_lo = grid[max(best - 1, 0)]
-    g_hi = grid[min(best + 1, grid.size - 1)]
+    g_lo = _GRID[max(best - 1, 0)]
+    g_hi = _GRID[min(best + 1, _GRID.size - 1)]
     return model_at(box, design, targets, noise_diag, _golden_section(lml, g_lo, g_hi))
 
 
@@ -249,7 +269,7 @@ def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
     unit = box.to_unit(design)
     base = _system(unit, noise_diag, lengthscale)
     while jitter <= 1e-4:
-        L = _factor(base + jitter * np.eye(base.shape[0]))
+        L = _factor(_plus_diagonal(base.copy(), jitter))
         if L is not None:
             break
         jitter = max(10.0 * jitter, 1e-10)  # a zero start escalates too

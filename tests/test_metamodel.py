@@ -12,6 +12,7 @@ from rootcal.metamodel import (
     _golden_section,
     _grid_lml,
     _kernel_vector,
+    _plus_diagonal,
     _tri_solve,
     fit,
     kernel_matrix,
@@ -218,6 +219,20 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             log_marginal_likelihood(unit, targets, [0.0, -5.0, 0.0], 0.3)
 
+    @pytest.mark.parametrize("lengthscale", [np.inf, 1e300, np.nan, 1e-200, 0.0, -0.4])
+    def test_lengthscale_without_finite_positive_2l2_raises_naming_it(self, lengthscale):
+        # inf used to give a constant kernel (an LML of -1.3e9 here), 1e300 a
+        # bare OverflowError from l**2, and 1e-200, whose 2 l^2 underflows to
+        # 0, a NaN LML and a NaN factor
+        box = ParameterBox([0.0], [1.0])
+        unit, targets = np.array([[0.1], [0.5], [0.9]]), np.array([0.3, -0.2, 0.5])
+        noise = np.zeros(3)
+        for call in (lambda: log_marginal_likelihood(unit, targets, noise, lengthscale),
+                     lambda: model_at(box, unit, targets, noise, lengthscale)):
+            with pytest.raises(ValueError, match="lengthscale") as info:
+                call()
+            assert str(float(lengthscale)) in str(info.value)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_fit_rejects_non_finite_noise(self, value):
         box, design, targets, noise = _random_problem(10, noise_scale=0.1)
@@ -225,6 +240,43 @@ class TestNonFiniteInputs:
         noise[3] = value
         with pytest.raises(ValueError):
             fit(box, design, targets, noise)
+
+    @pytest.mark.parametrize("noise", [0.0, [0.0], [0.01], np.zeros(2), np.zeros((3, 3))])
+    def test_noise_not_one_per_point_raises(self, noise):
+        # a scalar or length-1 noise used to be taken by np.diag or broadcast
+        box = ParameterBox([0.0], [1.0])
+        unit, targets = np.array([[0.1], [0.5], [0.9]]), np.array([0.3, -0.2, 0.5])
+        for call in (lambda: log_marginal_likelihood(unit, targets, noise, 0.3),
+                     lambda: model_at(box, unit, targets, noise, 0.3)):
+            with pytest.raises(ValueError, match="noise_diag"):
+                call()
+
+
+class TestDesignLayout:
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_lml_and_model_at_keep_the_bytes(self, layout):
+        box, design, targets, noise = _random_problem(16, n=7, dim=3, noise_scale=0.05)
+        other = (np.asfortranarray(design) if layout == "fortran"
+                 else np.repeat(design, 2, axis=1)[:, ::2])
+        assert np.array_equal(other, design) and not other.flags.c_contiguous
+        unit, unit_other = box.to_unit(design), box.to_unit(other)
+        for l in (0.05, 0.4, 3.0):
+            for jitter in (0.0, 1e-10, 1e-6):
+                want = log_marginal_likelihood(unit, targets, noise, l, jitter)
+                assert log_marginal_likelihood(unit_other, targets, noise, l, jitter) == want
+            a, b = model_at(box, design, targets, noise, l), model_at(box, other, targets, noise, l)
+            assert a.chol.tobytes() == b.chol.tobytes() and a.alpha.tobytes() == b.alpha.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_plus_diagonal_writes_through_any_layout(self, order):
+        rng = np.random.default_rng(17)
+        for A in (rng.random((5, 5)), rng.random((5, 4, 4)).transpose(0, 2, 1),
+                  rng.random((6, 10))[:, ::2][:5]):
+            A = np.array(A, order=order) if A.ndim == 2 and order == "F" else A
+            v = rng.random(A.shape[-1])
+            want = A + np.eye(A.shape[-1]) * v
+            assert _plus_diagonal(A, v) is A
+            assert np.array_equal(A, want)
 
 
 class TestThetaInputs:
@@ -420,5 +472,85 @@ class TestSurrogateBitIdentity:
         assert surrogate_digest() == SURROGATE_ORACLE
 
 
+# SHA-256 of the fit layer's results over `_fit_problems`: the public
+# log_marginal_likelihood at several lengthscales and jitters, the 50 grid
+# values and the fitted model, recorded before the stacked grid pass.
+FIT_ORACLE = "a15516f06a0c18b612e0ced0aa057cec3018daf79975add7f02f14670fa76006"
+
+FIT_LENGTHSCALES = (0.01, 0.05, 0.3, 1.0, 4.0, 100.0)
+
+
+def _fit_problems(rng):
+    """Seeded (box, design, targets, noise) problems in 1-4 dims with n from 2
+    to 15, zero and stochastic noise, near-duplicate design points, and a 1-D
+    problem whose grid mixes finite values with -inf."""
+    for dim in (1, 2, 3, 4):
+        lower = rng.uniform(-3.0, 1.0, dim)
+        box = ParameterBox(lower, lower + rng.uniform(0.5, 5.0, dim))
+        for n in (2, int(rng.integers(3, 15)), 15):
+            for noise_scale in (0.0, 0.05):
+                noise = rng.uniform(0.0, noise_scale, n) if noise_scale else np.zeros(n)
+                yield box, box.from_unit(rng.random((n, dim))), rng.normal(size=n), noise
+        design = box.from_unit(rng.random((4, dim)))
+        design = np.vstack([design, design[:2] + 1e-9 * box.width])
+        for noise in (np.zeros(6), rng.uniform(0.0, 0.02, 6)):
+            yield box, design, rng.normal(size=6), noise
+    yield (ParameterBox([0.0], [1.0]), np.array([[0.1], [0.5], [0.9]]),
+           np.array([0.3, -0.2, 0.5]), np.array([0.0, -0.5, 0.0]))
+
+
+def _fit_results():
+    """Per problem: public LMLs, the grid's values and the fitted model."""
+    rng, grid = np.random.default_rng(20261020), np.geomspace(*LENGTHSCALE_BOUNDS, 50)
+    for box, design, targets, noise in _fit_problems(rng):
+        unit = box.to_unit(design)
+        scales = FIT_LENGTHSCALES + tuple(np.exp(rng.uniform(-4.6, 4.6, 3)))
+        lmls = [log_marginal_likelihood(unit, targets, noise, l, jitter)
+                for l in scales for jitter in (0.0, 1e-10, 1e-6)]
+        yield lmls, _grid_lml(unit, targets, noise, grid), fit(box, design, targets, noise)
+
+
+def fit_digest() -> str:
+    sha = hashlib.sha256()
+    for lmls, vals, model in _fit_results():
+        for chunk in (lmls, vals, [model.lengthscale, model.jitter], model.chol, model.alpha):
+            sha.update(np.asarray(chunk, dtype="<f8").tobytes())
+    return sha.hexdigest()
+
+
+class TestFitBitIdentity:
+    def test_corpus_covers_the_paths(self):
+        problems = list(_fit_problems(np.random.default_rng(20261020)))
+        assert {box.dim for box, *_ in problems} == {1, 2, 3, 4}
+        assert {d.shape[0] for _, d, _, _ in problems} >= {2, 6, 15}
+        assert any(np.all(s == 0.0) for *_, s in problems)
+        assert any(np.any(s > 0.0) for *_, s in problems)
+        results = list(_fit_results())
+        lmls = np.concatenate([r[0] for r in results])
+        vals = np.concatenate([r[1] for r in results])
+        assert np.any(np.isfinite(lmls)) and np.any(lmls == -np.inf)
+        assert np.any(np.isfinite(vals)) and np.any(vals == -np.inf)
+
+    def test_outputs_match_recorded_bytes(self):
+        assert fit_digest() == FIT_ORACLE
+
+    def test_per_candidate_fallback_keeps_the_bytes(self, monkeypatch):
+        """With the stacked cholesky refused on every grid, each candidate is
+        factored alone whatever the data, and the bytes hold."""
+        cholesky, refused = np.linalg.cholesky, []
+
+        def two_d_only(a):
+            if np.ndim(a) > 2:
+                refused.append(a.shape)
+                raise np.linalg.LinAlgError("stacked call refused")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", two_d_only)
+        assert fit_digest() == FIT_ORACLE
+        # each problem's grid runs twice: directly and inside fit
+        assert len(refused) == 2 * len(list(_fit_problems(np.random.default_rng(20261020))))
+
+
 if __name__ == "__main__":
     print(f'SURROGATE_ORACLE = "{surrogate_digest()}"')
+    print(f'FIT_ORACLE = "{fit_digest()}"')

@@ -10,6 +10,8 @@ replaced, and checks that restoring puts every original back.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -67,3 +69,33 @@ def test_each_objective_call_crosses_every_layer(monkeypatch):
     assert calls["metamodel.posterior_grad"] == objective
     assert calls["acquisition.acq_value"] == objective
     assert calls["acquisition.acq_gradient"] == objective - tracer.counts["acqopt.degenerate"]
+
+
+def test_golden_section_evaluates_through_the_public_lml(monkeypatch):
+    """Each golden-section evaluation in fit is one traced
+    log_marginal_likelihood span, and each of those plus the final model
+    builds one kernel_matrix, so a refinement routed around the public names
+    would lose the benchmark's lml and kernel counts."""
+    from rootcal import ParameterBox, metamodel
+
+    evaluations, golden_section = [], metamodel._golden_section
+
+    def counted(f, lo, hi, **kwargs):
+        def f_counted(l):
+            evaluations.append(l)
+            return f(l)
+        return golden_section(f_counted, lo, hi, **kwargs)
+
+    monkeypatch.setattr(metamodel, "_golden_section", counted)
+    rng = np.random.default_rng(0)
+    box = ParameterBox([0.0, -1.0], [2.0, 3.0])
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        metamodel.fit(box, box.from_unit(rng.random((8, 2))), rng.normal(size=8),
+                      rng.uniform(0.0, 0.05, 8))
+    finally:
+        tracer.restore()
+    calls = tracer.totals()[0]
+    assert calls["metamodel.log_marginal_likelihood"] == len(evaluations) > 0
+    assert calls["kernel.kernel_matrix"] == calls["metamodel.log_marginal_likelihood"] + 1
