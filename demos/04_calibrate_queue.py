@@ -24,7 +24,6 @@ def main():
     sim = make_model("mm1", base.child(OBS_KEY), {"arrival_real": 6.0})
 
     config = RunConfig(
-        objective_mode=Mode.ROOT,
         stochastic=True,
         acq=AcqKind(Family.EI, Mode.ROOT),
         use_rss=True,

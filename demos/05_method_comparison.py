@@ -13,11 +13,9 @@ from rootcal import AcqKind, Family, Mode, RunConfig, macro_sweep
 
 def main():
     configs = [
-        RunConfig(objective_mode=Mode.ROOT, stochastic=True,
-                  acq=AcqKind(Family.EI, Mode.ROOT), use_rss=True,
+        RunConfig(stochastic=True, acq=AcqKind(Family.EI, Mode.ROOT), use_rss=True,
                   budget=6, seed=0),
-        RunConfig(objective_mode=Mode.MIN, stochastic=True,
-                  acq=AcqKind(Family.EI, Mode.MIN), use_rss=False,
+        RunConfig(stochastic=True, acq=AcqKind(Family.EI, Mode.MIN), use_rss=False,
                   budget=6, seed=0),
     ]
     print("methods:", ", ".join(c.label for c in configs))

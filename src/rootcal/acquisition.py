@@ -57,11 +57,16 @@ class Mode(str, Enum):
 class AcqKind:
     family: Family
     mode: Mode
-    kappa: float = 1.0
+    kappa: float | None = None  # read only by LCB, where None means 1.0
 
     def __post_init__(self):
-        if self.family is Family.LCB and self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if self.family is not Family.LCB:
+            if self.kappa is not None:
+                raise ValueError(f"kappa={self.kappa} is read only by lcb, not {self.family.value}")
+        elif self.kappa is None:
+            object.__setattr__(self, "kappa", 1.0)
+        elif not self.kappa > 0:
+            raise ValueError(f"kappa must be positive, got {self.kappa}")
 
     @property
     def maximize(self) -> bool:

@@ -29,6 +29,7 @@ from .engine import (
     rootless_table,
     run_calibration,
 )
+from .simulators import PROBLEMS
 
 __all__ = ["main"]
 
@@ -50,12 +51,15 @@ _METHOD_SCHEMA = {
     },
     "required": ["mode", "surrogate", "acq", "rss"],
     "additionalProperties": False,
+    # kappa is read only by lcb
+    "if": {"properties": {"acq": {"enum": ["pi", "ei"]}}},
+    "then": {"not": {"required": ["kappa"]}},
 }
 
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
-        "problem": {"enum": ["himmelblau2d", "mm1", "sir", "rootless"]},
+        "problem": {"enum": list(PROBLEMS)},
         "problem_params": {
             "type": "object",
             "properties": {
@@ -75,7 +79,6 @@ CONFIG_SCHEMA = {
         "reps_per_point": {"type": "integer", "minimum": 1},
         "post_reps": {"type": "integer", "minimum": 2},
         "alpha": {"type": "number", "minimum": 0, "maximum": 1},
-        "theta_floor": {"type": "number", "exclusiveMinimum": 0},
         "output": {
             "type": "object",
             "properties": {
@@ -117,20 +120,13 @@ def load_config(path: str) -> dict:
 
 
 # config keys that override RunConfig's protocol defaults
-_PROTOCOL_KEYS = ("p_init", "budget", "reps_per_point", "alpha", "theta_floor",
-                  "post_reps")
+_PROTOCOL_KEYS = ("p_init", "budget", "reps_per_point", "alpha", "post_reps")
 
 
 def _method_config(method: dict, cfg: dict) -> RunConfig:
-    acq = AcqKind(
-        family=Family(method["acq"]),
-        mode=Mode(method["mode"]),
-        kappa=method.get("kappa", 1.0),
-    )
     return RunConfig(
-        objective_mode=Mode(method["mode"]),
         stochastic=method["surrogate"] == "stochastic",
-        acq=acq,
+        acq=AcqKind(Family(method["acq"]), Mode(method["mode"]), method.get("kappa")),
         use_rss=method["rss"],
         seed=cfg["seed"],
         **{key: cfg[key] for key in _PROTOCOL_KEYS if key in cfg},
@@ -306,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_root.add_argument("--output", required=True)
 
     p_diag = sub.add_parser("diagnose", help="residual gap diagnostics at a point")
-    p_diag.add_argument("--problem", required=True,
-                        choices=["himmelblau2d", "mm1", "sir", "rootless"])
+    p_diag.add_argument("--problem", required=True, choices=list(PROBLEMS))
     p_diag.add_argument("--theta", required=True,
                         help="comma-separated parameter components")
     p_diag.add_argument("--reps", type=int, default=100)

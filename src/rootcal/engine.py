@@ -55,19 +55,18 @@ _OBS, _INIT, _SIM, _ACQ, _POST = 0, 1, 2, 3, 4
 OBS_KEY = _OBS
 
 ROOTLESS_REPS = 10  # replications per design point in rootless_differences
+THETA_FLOOR = 1e-8  # least extent of a search-space reduction axis, for rss and the box
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    objective_mode: Mode
     stochastic: bool
-    acq: AcqKind
+    acq: AcqKind  # its mode also sets the surrogate's target: signed (root) or squared (min)
     use_rss: bool
     p_init: int = 2
     budget: int = 10
     reps_per_point: int = 10
     alpha: float = 0.95
-    theta_floor: float = 1e-8
     post_reps: int = 1000
     seed: int = 0
 
@@ -76,10 +75,14 @@ class RunConfig:
             raise ValueError("p_init must be >= 2")
         if self.budget < 0 or self.reps_per_point < 1:
             raise ValueError("invalid budget or replication count")
+        if self.post_reps < 2:
+            raise ValueError(f"post_reps must be >= 2, got {self.post_reps}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
     @property
     def label(self) -> str:
-        parts = [self.objective_mode.value, self.acq.family.value,
+        parts = [self.acq.mode.value, self.acq.family.value,
                  "sk" if self.stochastic else "krig"]
         if self.use_rss:
             parts.append("rss")
@@ -90,7 +93,6 @@ class RunConfig:
 class IterationRecord:
     iteration: int
     evaluated: np.ndarray | None
-    summary: ObservationSummary | None
     lengthscale: float
     acq_value: float
     box_lo: np.ndarray
@@ -165,7 +167,7 @@ def _fit_surrogate(box: ParameterBox, summaries, config: RunConfig):
     incumbent and the design posteriors (None for a deterministic surrogate),
     which the incumbent and stochastic search-space reduction share."""
     design = np.array([s.theta for s in summaries])
-    if config.objective_mode is Mode.ROOT:
+    if config.acq.mode is Mode.ROOT:
         targets = np.array([s.signed_mean for s in summaries])
         noise = np.array([s.signed_noise_var for s in summaries])
     else:
@@ -175,7 +177,7 @@ def _fit_surrogate(box: ParameterBox, summaries, config: RunConfig):
         noise = np.zeros_like(noise)
     model = fit(box, design, targets, noise)
     posts = design_posteriors(model) if config.stochastic else None
-    return model, select_incumbent(model, config.objective_mode, posts), posts
+    return model, select_incumbent(model, config.acq.mode, posts), posts
 
 
 def _active_box(model: GpModel, posts, summaries, config: RunConfig,
@@ -183,17 +185,16 @@ def _active_box(model: GpModel, posts, summaries, config: RunConfig,
     if not config.use_rss:
         return box
     if posts is not None:
-        sub = rss_mod.rss_stochastic(model.design, posts, config.alpha,
-                                     config.theta_floor)
+        sub = rss_mod.rss_stochastic(model.design, posts, config.alpha, THETA_FLOOR)
     else:
         signed = np.array([s.signed_mean for s in summaries])
-        sub = rss_mod.rss_deterministic(model.design, signed, config.theta_floor)
+        sub = rss_mod.rss_deterministic(model.design, signed, THETA_FLOOR)
     if sub is None:
         return box
     # degenerate axes (coincident coordinates) keep a positive extent via the floor
     lo = np.maximum(sub.lo, box.lower)
-    hi = np.minimum(np.maximum(sub.hi, lo + config.theta_floor), box.upper)
-    lo = np.minimum(lo, hi - config.theta_floor)
+    hi = np.minimum(np.maximum(sub.hi, lo + THETA_FLOOR), box.upper)
+    lo = np.minimum(lo, hi - THETA_FLOOR)
     return ParameterBox(lo, hi)
 
 
@@ -223,20 +224,19 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
         )
 
     records = []
-    theta = summary = None
+    theta = None
     value, active = np.nan, box
     for t in range(config.budget + 1):
         if t > 0:
             active = _active_box(model, posts, summaries, config, box)
             theta, value = _next_point(model, inc, config, active, base.child(_ACQ, t))
-            summary = evaluate_point(sim, theta, config.reps_per_point,
-                                     base.child(_SIM, config.p_init + t - 1))
-            summaries.append(summary)
+            summaries.append(evaluate_point(sim, theta, config.reps_per_point,
+                                            base.child(_SIM, config.p_init + t - 1)))
         model, inc, posts = _fit_surrogate(box, summaries, config)
         rec = summaries[inc.index].theta
         post_mean, ci = post_evaluate(sim, rec, config.post_reps,
                                       base.child(_POST, t))
-        records.append(IterationRecord(t, theta, summary, model.lengthscale,
+        records.append(IterationRecord(t, theta, model.lengthscale,
                                        value, active.lower, active.upper, rec,
                                        post_mean, ci))
     return CalibrationTrace(config=config, records=records)

@@ -112,6 +112,9 @@ def kernel_matrix(A, B, lengthscale: float) -> np.ndarray:
 
     No jitter is added here; the solver owns the regularized diagonal.
     """
+    l = float(lengthscale)  # float arithmetic overflows to inf without a warning
+    if not (l > 0 and 0 < 2.0 * l * l < math.inf):
+        raise ValueError(f"lengthscale must be positive with 2 l^2 positive and finite, got {l}")
     A, B = (np.asarray(X, dtype=float) for X in (A, B))
     A, B = (X[:, None] if X.ndim == 1 else X for X in (A, B))
     if A.shape[1] != B.shape[1]:
@@ -129,9 +132,6 @@ def _plus_diagonal(A: np.ndarray, v) -> np.ndarray:
 
 def _system(unit_design, noise_diag, lengthscale) -> np.ndarray:
     """K + Sigma; callers add jitter I to it."""
-    l = float(lengthscale)  # float arithmetic overflows to inf without a warning
-    if not (l > 0 and 0 < 2.0 * l * l < math.inf):
-        raise ValueError(f"lengthscale must be positive with 2 l^2 positive and finite, got {l}")
     if np.shape(noise_diag) != (len(unit_design),):
         raise ValueError("noise_diag length must match design size")
     return _plus_diagonal(kernel_matrix(unit_design, unit_design, lengthscale), noise_diag)

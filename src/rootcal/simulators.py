@@ -1,20 +1,20 @@
 """Benchmark simulation models behind one residual-drawing interface.
 
-Each model exposes a parameter box, an output dimension and one method,
-``draw(theta, gen, reps=1) -> (reps, output_dim) array``, whose rows are
-independent replications all drawn from the one ``numpy.random.Generator``
-``gen``.  Each model makes one sized numpy call per random quantity:
-Himmelblau and the rootless quadratic one normal draw, M/M/1 one call for
-all inter-arrival and one for all service times, and SIR one binomial per
-pass over the replications still active on a day.  The queueing and
-epidemic models hold one fixed synthetic observation, generated from a
-dedicated stream at the true parameter, and return observation-minus-
-simulation residuals.
+Each model class fixes a parameter box; each model has an output dimension
+and one method, ``draw(theta, gen, reps=1) -> (reps, output_dim) array``,
+whose rows are independent replications all drawn from the one
+``numpy.random.Generator`` ``gen``.  Each model makes one sized numpy call
+per random quantity: Himmelblau and the rootless quadratic one normal draw,
+M/M/1 one call for all inter-arrival and one for all service times, and SIR
+one binomial per pass over the replications still active on a day.  The
+queueing and epidemic models hold one fixed synthetic observation, generated
+from a dedicated stream at the true parameter, so their output dimension is
+the observation's size, and return observation-minus-simulation residuals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +29,21 @@ __all__ = [
     "himmelblau_signed",
     "mm1_sojourns",
     "sir_trajectories",
+    "PROBLEMS",
     "make_model",
 ]
 
 
 class SimulationModel:
-    """Interface: box, output_dim, draw(theta, gen, reps)."""
+    """Interface: box, output_dim, from_stream(obs_rng, **params), draw(theta, gen, reps)."""
 
     box: ParameterBox
     output_dim: int
+
+    @classmethod
+    def from_stream(cls, obs_rng: RngStream, **params) -> "SimulationModel":
+        """The model with these parameters; obs_rng seeds a fixed observation, if any."""
+        return cls(**params)
 
     def draw(self, theta, gen: np.random.Generator, reps: int = 1) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} does not implement draw")
@@ -56,10 +62,8 @@ def himmelblau_signed(theta) -> float:
 class Himmelblau2D(SimulationModel):
     """Noisy scalar discrepancy with heteroskedastic variance |f(theta)|."""
 
-    box: ParameterBox = field(
-        default_factory=lambda: ParameterBox([-3.0, -3.0], [3.0, 3.0])
-    )
-    output_dim: int = 1
+    box = ParameterBox([-3.0, -3.0], [3.0, 3.0])
+    output_dim = 1
 
     def draw(self, theta, gen: np.random.Generator, reps: int = 1) -> np.ndarray:
         f = himmelblau_signed(theta)
@@ -93,24 +97,24 @@ class Mm1Queue(SimulationModel):
     """Arrival-rate calibration against observed sojourn times.
 
     The service rate is known and fixed; the observation is a single
-    100-entity trajectory generated at the true arrival rate.  Residuals
-    align observation and simulation by entity index.
+    trajectory of ``n_entities`` entities generated at the true arrival rate.
+    Residuals align observation and simulation by entity index.
     """
 
     observed: np.ndarray
-    service_rate: float = 4.0
-    box: ParameterBox = field(
-        default_factory=lambda: ParameterBox([2.0], [10.0])
-    )
-    output_dim: int = 100
+    service_rate: float
+    box = ParameterBox([2.0], [10.0])
+
+    @property
+    def output_dim(self) -> int:
+        return self.observed.size
 
     @classmethod
     def from_stream(cls, obs_rng: RngStream, arrival_real: float = 6.0,
                     service_rate: float = 4.0, n_entities: int = 100) -> "Mm1Queue":
         observed = mm1_sojourns(arrival_real, service_rate, n_entities,
                                 obs_rng.generator())[0]
-        return cls(observed=observed, service_rate=service_rate,
-                   output_dim=n_entities)
+        return cls(observed=observed, service_rate=service_rate)
 
     def draw(self, theta, gen: np.random.Generator, reps: int = 1) -> np.ndarray:
         sim = mm1_sojourns(float(theta[0]), self.service_rate, self.output_dim,
@@ -163,10 +167,11 @@ class StochasticSir(SimulationModel):
     """Infection-probability calibration against an observed recovery trajectory."""
 
     observed: np.ndarray
-    box: ParameterBox = field(
-        default_factory=lambda: ParameterBox([0.0], [1.0])
-    )
-    output_dim: int = 5
+    box = ParameterBox([0.0], [1.0])
+
+    @property
+    def output_dim(self) -> int:
+        return self.observed.size
 
     @classmethod
     def from_stream(cls, obs_rng: RngStream,
@@ -184,12 +189,10 @@ class StochasticSir(SimulationModel):
 class RootlessQuadratic(SimulationModel):
     """theta^2 + eps plus N(0, 0.01^2) observation noise on [-1, 1]."""
 
-    eps: float
+    eps: float = 0.1
     noise_std: float = 0.01
-    box: ParameterBox = field(
-        default_factory=lambda: ParameterBox([-1.0], [1.0])
-    )
-    output_dim: int = 1
+    box = ParameterBox([-1.0], [1.0])
+    output_dim = 1
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -200,22 +203,18 @@ class RootlessQuadratic(SimulationModel):
         return (value + gen.normal(0.0, self.noise_std, reps))[:, None]
 
 
+# problem name -> model class; ``problem_params`` are its from_stream keywords
+PROBLEMS = {
+    "himmelblau2d": Himmelblau2D,
+    "mm1": Mm1Queue,
+    "sir": StochasticSir,
+    "rootless": RootlessQuadratic,
+}
+
+
 def make_model(problem: str, obs_rng: RngStream, params: dict | None = None) -> SimulationModel:
-    """Construct a benchmark model by name; obs_rng seeds any fixed observation."""
-    params = dict(params or {})
-    if problem == "himmelblau2d":
-        return Himmelblau2D()
-    if problem == "mm1":
-        return Mm1Queue.from_stream(
-            obs_rng,
-            arrival_real=params.get("arrival_real", 6.0),
-            service_rate=params.get("service_rate", 4.0),
-            n_entities=params.get("n_entities", 100),
-        )
-    if problem == "sir":
-        return StochasticSir.from_stream(
-            obs_rng, infection_real=params.get("infection_real", 0.65)
-        )
-    if problem == "rootless":
-        return RootlessQuadratic(eps=params.get("eps", 0.1))
-    raise ValueError(f"unknown problem: {problem}")
+    """Construct a benchmark model by name; obs_rng seeds any fixed observation,
+    and a key of params that the problem does not take raises a TypeError."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem: {problem}")
+    return PROBLEMS[problem].from_stream(obs_rng, **(params or {}))

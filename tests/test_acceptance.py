@@ -38,7 +38,6 @@ from rootcal.simulators import make_model as make_sim
 
 def _root_ei_config(**kw):
     return RunConfig(
-        objective_mode=Mode.ROOT,
         stochastic=True,
         acq=AcqKind(Family.EI, Mode.ROOT),
         use_rss=True,
@@ -187,8 +186,7 @@ def test_criterion_6_himmelblau_directional_result():
     start = time.monotonic()
     configs = [
         _root_ei_config(budget=10, seed=0),
-        RunConfig(objective_mode=Mode.MIN, stochastic=True,
-                  acq=AcqKind(Family.EI, Mode.MIN), use_rss=False,
+        RunConfig(stochastic=True, acq=AcqKind(Family.EI, Mode.MIN), use_rss=False,
                   budget=10, seed=0),
     ]
     long_rows, _ = macro_sweep("himmelblau2d", None, configs,

@@ -101,6 +101,15 @@ class TestAcqValueDispatch:
         with pytest.raises(ValueError):
             acq_value(AcqKind(Family.EI, Mode.MIN), post, None)
 
+    def test_kappa_is_lcb_only(self):
+        assert AcqKind(Family.LCB, Mode.ROOT).kappa == 1.0
+        assert AcqKind(Family.LCB, Mode.MIN, 2.5).kappa == 2.5
+        for family in (Family.PI, Family.EI):
+            with pytest.raises(ValueError, match="kappa=2.5"):
+                AcqKind(family, Mode.ROOT, 2.5)
+        with pytest.raises(ValueError, match="kappa"):
+            AcqKind(Family.LCB, Mode.ROOT, 0.0)
+
     def test_lcb_is_minimized_others_maximized(self):
         assert not AcqKind(Family.LCB, Mode.ROOT).maximize
         assert AcqKind(Family.PI, Mode.MIN).maximize

@@ -1,16 +1,20 @@
 import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from rootcal.cli import (
+    CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
+from rootcal.simulators import PROBLEMS
 
 BUDGET = 2
 
@@ -110,6 +114,40 @@ class TestConfigValidation:
 
     def test_unknown_subcommand_is_config_error(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("acq", ["pi", "ei"])
+    def test_kappa_off_lcb_rejected(self, tmp_path, capsys, acq):
+        cfg = _base_config(tmp_path)
+        cfg["methods"][0].update(acq=acq, kappa=2.0)
+        assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "kappa" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_param_the_problem_does_not_take_fails_naming_it(self, tmp_path, capsys,
+                                                             command):
+        cfg = _base_config(tmp_path, problem="mm1",
+                           problem_params={"infection_real": 0.5}, macro_reps=1)
+        cfg["output"].update(long=str(tmp_path / "long.csv"),
+                             aggregate=str(tmp_path / "agg.csv"))
+        assert main([command, _write(tmp_path, cfg)]) == EXIT_RUNTIME
+        assert "infection_real" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_problems_and_their_params_are_the_model_table(self):
+        """The problem enum and `diagnose --problem` list the model table's
+        names, and problem_params lists every keyword of the table's
+        constructors but rootless's noise_std."""
+        schema = CONFIG_SCHEMA["properties"]
+        assert schema["problem"]["enum"] == list(PROBLEMS)
+        diagnose = build_parser()._subparsers._group_actions[0].choices["diagnose"]
+        problem = next(a for a in diagnose._actions if a.dest == "problem")
+        assert list(problem.choices) == list(PROBLEMS)
+        keywords = set()
+        for cls in PROBLEMS.values():
+            constructor = cls.from_stream if "from_stream" in vars(cls) else cls
+            keywords |= set(inspect.signature(constructor).parameters) - {"obs_rng"}
+        assert set(schema["problem_params"]["properties"]) == keywords - {"noise_std"}
 
 
 class TestSweep:
@@ -245,6 +283,11 @@ class TestDiagnose:
         code = main(["diagnose", "--problem", "himmelblau2d", "--theta", "0.5"])
         assert code == EXIT_CONFIG
         capsys.readouterr()
+
+    def test_rejects_param_the_problem_does_not_take(self, capsys):
+        code = main(["diagnose", "--problem", "mm1", "--theta", "5", "--eps", "0.1"])
+        assert code != EXIT_OK
+        assert "eps" in capsys.readouterr().err
 
     def test_rejects_theta_outside_box(self, capsys):
         code = main(["diagnose", "--problem", "sir", "--theta", "1.5"])

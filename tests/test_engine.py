@@ -19,7 +19,6 @@ from rootcal.simulators import RootlessQuadratic, SimulationModel, make_model
 
 def _config(**kw):
     defaults = dict(
-        objective_mode=Mode.ROOT,
         stochastic=True,
         acq=AcqKind(Family.EI, Mode.ROOT),
         use_rss=True,
@@ -223,8 +222,7 @@ class TestRunCalibration:
             assert list(rec.recommended) in evaluated
 
     def test_min_mode_runs(self):
-        cfg = _config(objective_mode=Mode.MIN, acq=AcqKind(Family.EI, Mode.MIN),
-                      use_rss=False, budget=2)
+        cfg = _config(acq=AcqKind(Family.EI, Mode.MIN), use_rss=False, budget=2)
         assert cfg.label == "min-ei-sk"
         sim = make_model("rootless", RngStream(0).child(0).child(OBS_KEY),
                          {"eps": 0.5})
@@ -267,6 +265,13 @@ class TestRunCalibration:
             _config(p_init=1)
         with pytest.raises(ValueError):
             _config(reps_per_point=0)
+
+    @pytest.mark.parametrize("name,value", [("post_reps", 1), ("alpha", -0.1), ("alpha", 1.5)])
+    def test_post_reps_and_alpha_rejected_naming_the_value(self, name, value):
+        # post_reps 1 used to fail only after the initial design was simulated,
+        # and an alpha outside [0, 1] only once stochastic reduction ran
+        with pytest.raises(ValueError, match=f"{name} .*{value}"):
+            _config(**{name: value})
 
 
 class TestMacroSweep:

@@ -38,6 +38,14 @@ class TestRbf:
 
 
 class TestKernelMatrix:
+    @pytest.mark.parametrize("lengthscale", [np.inf, 1e300, np.nan, 1e-200, 0.0, -0.3])
+    def test_lengthscale_without_finite_positive_2l2_raises_naming_it(self, lengthscale):
+        # inf used to give all ones, 1e300 a bare OverflowError from l**2 and
+        # -0.3 the kernel of 0.3
+        with pytest.raises(ValueError, match="lengthscale") as info:
+            kernel_matrix([0.1, 0.5], [0.1, 0.9], lengthscale)
+        assert str(float(lengthscale)) in str(info.value)
+
     def test_matches_pairwise_rbf(self):
         rng = np.random.default_rng(2)
         A = rng.random((4, 2))

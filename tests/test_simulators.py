@@ -152,6 +152,11 @@ class TestHimmelblau:
 
 
 class TestMm1:
+    def test_output_dim_is_the_observation_size(self):
+        sim = Mm1Queue(observed=np.zeros(50), service_rate=4.0)
+        assert sim.output_dim == 50
+        assert sim.draw([6.0], np.random.default_rng(0), 3).shape == (3, 50)
+
     def test_sojourn_matches_lindley_by_hand(self):
         class FakeGen:
             def __init__(self):
@@ -253,6 +258,13 @@ class TestMakeModel:
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             make_model("nope", RngStream(0))
+
+    @pytest.mark.parametrize("problem,params", [("himmelblau2d", {"eps": 1.0}),
+                                                ("mm1", {"infection_real": 0.5}),
+                                                ("sir", {"n_entities": 10})])
+    def test_param_the_problem_does_not_take_raises_naming_it(self, problem, params):
+        with pytest.raises(TypeError, match=next(iter(params))):
+            make_model(problem, RngStream(0), params)
 
 
 BATCH_CASES = (

@@ -55,8 +55,8 @@ def test_each_objective_call_crosses_every_layer(monkeypatch):
     tracer = _load_tracer().Tracer()
     for stochastic, acq in ((True, AcqKind(Family.EI, Mode.ROOT)),
                             (False, AcqKind(Family.LCB, Mode.MIN))):
-        cfg = RunConfig(objective_mode=acq.mode, stochastic=stochastic, acq=acq,
-                        use_rss=stochastic, budget=2, reps_per_point=3, post_reps=20)
+        cfg = RunConfig(stochastic=stochastic, acq=acq, use_rss=stochastic, budget=2,
+                        reps_per_point=3, post_reps=20)
         sim = make_model("himmelblau2d", RngStream(0).child(0).child(OBS_KEY))
         try:
             tracer.install()
