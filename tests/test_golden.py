@@ -6,6 +6,11 @@ a committed value, so "same behaviour"
 is checked against a fixed reference rather than only against a rerun.  The
 run summary JSON is not digested because it holds ``wall_time_s``.
 
+``DECISIONS`` digests each run trace without its post-evaluation columns
+(``post_mean``, ``post_ci_half``): every choice the loop makes (design
+points, box, recommendation) but none of the estimates it reports, which
+never feed back into the loop.
+
 A change that alters output numbers on purpose refreshes these digests in
 the same change and says why; ``python tests/test_golden.py`` prints the
 current values.
@@ -69,9 +74,36 @@ GOLDEN = {
     "diagnose/sir": "219df90051da823554de2fdae490403b21806a24b21baf4778781db6f0523fd5",
 }
 
+# a change to how the loop post-evaluates its recommendation must leave these
+# as they are
+DECISIONS = {
+    "run/himmelblau2d/0/decisions": "f5dcd62abd294d8a24bae7f2b8e40a104b856768f455a4675969def3f7f0dfbe",
+    "run/himmelblau2d/1/decisions": "d1c16cfc03b5b95c3b283a5dead40450aa030ddaa1008f9af38411a281897b60",
+    "run/mm1/0/decisions": "19e9547f516cd598b6230822fa117cb1dd44e325a55be8fe391716980b4f9157",
+    "run/mm1/1/decisions": "f499702f0f04ae734411c648471a3257c9ec17c1e1c5b570e2348460f9d147a7",
+    "run/mm1/2/decisions": "e3f8dc424088fb725e74095bed45d6796f9536e4395f407acfdf234a0b9ba3c6",
+    "run/sir/0/decisions": "11af623ba2216280693bc6229e72beea099a7b1d3e9e381bca51b80639ce9160",
+    "run/sir/1/decisions": "1e6fd5b9079ea6f85fa369d47220eed562bad795d762607e744ce466be5c3294",
+    "run/sir/2/decisions": "79d140f8a65bd4dbb6a583cea28ee848daeaa638a895c6df885c4f42a2052964",
+    "run/rootless/0/decisions": "6e0be9211640f5887c7fc6c6aa57343bccb20a3625a2ade8e7ebcc817ca2c87d",
+    "run/rootless/1/decisions": "60498a800b51ca3ee3ca44d1c5b36c4536e4e058d69bd47b6cca101db8888dc9",
+}
+
 
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+_POST_COLUMNS = ("post_mean", "post_ci_half")
+
+
+def _decision_sha(path) -> str:
+    """SHA-256 of a trace CSV with its post-evaluation columns dropped."""
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in _POST_COLUMNS]
+    assert len(keep) == len(rows[0]) - len(_POST_COLUMNS)
+    text = "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _write_config(tmp_path, **cfg):
@@ -89,14 +121,23 @@ def diagnose_digests(problem) -> dict:
     return {f"diagnose/{problem}": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
-def run_digests(tmp_path, problem, index) -> dict:
+def _run_trace(tmp_path, problem, index):
     trace = tmp_path / "trace.csv"
     config = _write_config(
         tmp_path, problem=problem, methods=[RUNS[problem][index]],
         output={"trace": str(trace), "summary": str(tmp_path / "summary.json")},
     )
     assert cli.main(["run", config]) == cli.EXIT_OK
-    return {f"run/{problem}/{index}/trace": _sha(trace)}
+    return trace
+
+
+def run_digests(tmp_path, problem, index) -> dict:
+    return {f"run/{problem}/{index}/trace": _sha(_run_trace(tmp_path, problem, index))}
+
+
+def decision_digests(tmp_path, problem, index) -> dict:
+    trace = _run_trace(tmp_path, problem, index)
+    return {f"run/{problem}/{index}/decisions": _decision_sha(trace)}
 
 
 def sweep_digests(tmp_path) -> dict:
@@ -124,6 +165,12 @@ def test_run_trace_digest(tmp_path, problem, index):
         assert digest == GOLDEN[key], key
 
 
+@pytest.mark.parametrize("problem,index", RUN_CASES)
+def test_run_decision_digest(tmp_path, problem, index):
+    for key, digest in decision_digests(tmp_path, problem, index).items():
+        assert digest == DECISIONS[key], key
+
+
 def test_sweep_digests(tmp_path, monkeypatch):
     monkeypatch.delenv("ROOTCAL_WORKERS", raising=False)
     for key, digest in sweep_digests(tmp_path).items():
@@ -146,14 +193,19 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
-    current = {}
+    current, decisions = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for problem, index in RUN_CASES:
             current.update(run_digests(Path(tmp), problem, index))
+            decisions.update(decision_digests(Path(tmp), problem, index))
         current.update(sweep_digests(Path(tmp)))
         for eps in (0.1, 2.0):
             current.update(rootless_digests(Path(tmp), eps))
     for problem in sorted(DIAGNOSE):
         current.update(diagnose_digests(problem))
+    print("GOLDEN")
     for key, digest in current.items():
+        print(f'    "{key}": "{digest}",')
+    print("DECISIONS")
+    for key, digest in decisions.items():
         print(f'    "{key}": "{digest}",')
