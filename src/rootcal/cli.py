@@ -12,6 +12,7 @@ from the ROOTCAL_WORKERS environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -104,18 +105,24 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+@functools.cache
+def _config_validator():
+    """CONFIG_SCHEMA's validator, built and its schema checked once per process."""
+    from jsonschema.validators import validator_for
+    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def load_config(path: str) -> dict:
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}")
+    error = best_match(_config_validator().iter_errors(raw))
+    if error is not None:  # the error jsonschema.validate would raise
+        raise ConfigError(f"invalid config: {error.message}")
     return raw
 
 

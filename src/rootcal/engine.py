@@ -2,9 +2,9 @@
 optimization with optional search-space reduction, recommendation,
 post-evaluation, and macro-replication sweeps.
 
-Macro replication r derives every stream from (seed, r), and all methods
-under one macro index share the observation and initial-design streams, so
-method comparisons are paired.
+Macro replication r derives every stream from (seed, r). All methods under
+one macro index share the observation, initial-design and per-design-index
+post-evaluation streams, so method comparisons are paired.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
     "rootless_table",
 ]
 
-# stream-key roles under one macro replication
+# stream roles of one macro replication; SIM and POST take a design index
 _OBS, _INIT, _SIM, _ACQ, _POST = 0, 1, 2, 3, 4
 
 OBS_KEY = _OBS
@@ -223,7 +223,7 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
             evaluate_point(sim, theta, config.reps_per_point, base.child(_SIM, i))
         )
 
-    records = []
+    records, estimates = [], {}  # design index -> its one post-evaluation
     theta = None
     value, active = np.nan, box
     for t in range(config.budget + 1):
@@ -234,8 +234,10 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
                                             base.child(_SIM, config.p_init + t - 1)))
         model, inc, posts = _fit_surrogate(box, summaries, config)
         rec = summaries[inc.index].theta
-        post_mean, ci = post_evaluate(sim, rec, config.post_reps,
-                                      base.child(_POST, t))
+        if inc.index not in estimates:
+            estimates[inc.index] = post_evaluate(sim, rec, config.post_reps,
+                                                 base.child(_POST, inc.index))
+        post_mean, ci = estimates[inc.index]
         records.append(IterationRecord(t, theta, model.lengthscale,
                                        value, active.lower, active.upper, rec,
                                        post_mean, ci))

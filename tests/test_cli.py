@@ -2,8 +2,10 @@ import csv
 import inspect
 import json
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from rootcal.cli import (
     CONFIG_SCHEMA,
@@ -11,7 +13,9 @@ from rootcal.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VALIDATION,
+    ConfigError,
     build_parser,
+    load_config,
     main,
 )
 from rootcal.simulators import PROBLEMS
@@ -111,6 +115,24 @@ class TestConfigValidation:
         cfg["problem"] = "unknown"
         assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_schema_is_valid_against_its_meta_schema(self):
+        validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg.pop("seed"),
+        lambda cfg: cfg["methods"][0].update(kappa=2.0),  # on ei
+        lambda cfg: cfg.update(post_reps=1),
+        lambda cfg: cfg.update(extra=1),
+    ], ids=["missing-seed", "kappa-on-ei", "post-reps-1", "unknown-key"])
+    def test_error_text_is_jsonschema_validate_s(self, tmp_path, edit):
+        cfg = _base_config(tmp_path)
+        edit(cfg)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            load_config(_write(tmp_path, cfg))
+        assert str(got.value) == f"invalid config: {expected.value.message}"
 
     def test_unknown_subcommand_is_config_error(self):
         assert main(["frobnicate"]) == EXIT_CONFIG

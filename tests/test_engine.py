@@ -175,6 +175,16 @@ class TestInputGuard:
             assert evaluate_point(sim, theta, 2, RngStream(0)).reps == 2
 
 
+def _recommended_indices(sim, cfg, trace, stream_id):
+    """Each record's recommendation as an index into the run's design: the
+    initial design first, then the evaluated points in order."""
+    design = initial_design(sim.box, cfg.p_init,
+                            RngStream(cfg.seed).child(stream_id).child(1))
+    design += [r.evaluated for r in trace.records[1:]]
+    return [next(i for i, d in enumerate(design) if np.array_equal(d, r.recommended))
+            for r in trace.records]
+
+
 class TestRunCalibration:
     def test_trace_shape_and_labels(self):
         cfg = _config(budget=3)
@@ -259,6 +269,46 @@ class TestRunCalibration:
         assert len(fit_sizes) == cfg.budget + 1
         assert sorted(post_calls) == sorted(n for n in fit_sizes for _ in range(n))
         assert all(np.isfinite(r.acq_value) for r in trace.records[1:])
+
+    def test_one_post_evaluation_per_recommended_design_point(self, monkeypatch):
+        from rootcal import engine
+
+        keys = []
+
+        def counting_post(model, theta, post_reps, rng):
+            keys.append(rng.key)
+            return post_evaluate(model, theta, post_reps, rng)
+
+        monkeypatch.setattr(engine, "post_evaluate", counting_post)
+        cfg = _config(budget=6)
+        sim = make_model("mm1", RngStream(0).child(3).child(OBS_KEY))
+        trace = run_calibration(sim, cfg, stream_id=3)
+        indices = _recommended_indices(sim, cfg, trace, 3)
+        # the run stays on a point, and switches back to one it left
+        assert any(a == b for a, b in zip(indices, indices[1:]))
+        assert any(i in indices[:t - 1] and i != indices[t - 1]
+                   for t, i in enumerate(indices) if t > 1)
+        assert len(keys) == len(set(keys)) == len(set(indices))
+        base = RngStream(cfg.seed).child(3)
+        for rec, index in zip(trace.records, indices):
+            assert (rec.post_mean, rec.post_ci_half) == post_evaluate(
+                sim, rec.recommended, cfg.post_reps, base.child(4, index))
+
+    def test_methods_share_the_estimate_of_an_initial_design_point(self):
+        # paired comparison: within a macro rep an initial design point carries
+        # one estimate, whichever method recommends it at whichever iteration
+        sim = make_model("himmelblau2d", RngStream(0).child(2).child(OBS_KEY))
+        pairs = []
+        for cfg in (_config(budget=6),
+                    _config(budget=6, acq=AcqKind(Family.EI, Mode.MIN), use_rss=False)):
+            trace = run_calibration(sim, cfg, stream_id=2)
+            pairs.append([(index, rec) for index, rec in
+                          zip(_recommended_indices(sim, cfg, trace, 2), trace.records)
+                          if index < cfg.p_init])
+        shared = [(a, b) for i, a in pairs[0] for j, b in pairs[1] if i == j]
+        assert any(a.iteration != b.iteration for a, b in shared)
+        for a, b in shared:
+            assert (a.post_mean, a.post_ci_half) == (b.post_mean, b.post_ci_half)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

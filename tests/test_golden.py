@@ -56,18 +56,18 @@ DIAGNOSE = {"mm1": "7.5", "sir": "0.95"}
 RUN_CASES = [(problem, i) for problem in RUNS for i in range(len(RUNS[problem]))]
 
 GOLDEN = {
-    "run/himmelblau2d/0/trace": "09e72607839da67a72334dad71d46196ed71f3c6ef90a25e468aa34a821c72c6",
-    "run/himmelblau2d/1/trace": "3d9fbb421f514ff3711052211485347366671e8744d1cb1f54ecde260e60afe9",
-    "run/mm1/0/trace": "11c60c0834fd47e59d76fea7f53e2a072fa2f961cb89d2ad970df100698b38e1",
-    "run/mm1/1/trace": "e884fdd41b2e05197b8525cda7b1f46dbad18bd085f4d3fe9c92aed167ef05f1",
-    "run/mm1/2/trace": "e7254ed0f8f2f5afd1c5e6c165a83dd025b84d9f0235e41e1da67815d9e50a0f",
-    "run/sir/0/trace": "cb2d9c20491209870950812a82059a7ddb0108c84150a87b9139c6c48ecd8018",
-    "run/sir/1/trace": "c9245de04b2e31abacabff33bd4f20f0239fe30d018bac84c4055920099479fd",
-    "run/sir/2/trace": "3dc1f14b6e1558705c16fcc71e8375e6c500be2112259e2b3edbe20920d7d30c",
-    "run/rootless/0/trace": "0ef776e84fbdc29624ec999c265b9226b4d7bd4edb4c48a5cfe4a4f2e004745c",
-    "run/rootless/1/trace": "3cdaa09803b4df4dbd7e60f7f3d0d1d8d4436ddb7fcb44761f9b0aa6893323e1",
-    "sweep/long": "d057167bb6a9b43734aca42acf2c4df743dff15af11721823eb84ed290ca05cd",
-    "sweep/aggregate": "99f7e20402fc6a65f40c34867e93d74d58187eacabbfcbf005a1ec100663717f",
+    "run/himmelblau2d/0/trace": "106780dec1df4c9d0f1c7064d346a299b95ec625d7e63bb63072d186e5acbdc0",
+    "run/himmelblau2d/1/trace": "6e06d5d1b5b6f7038b735c36f8274369fe7ccfce8f4f6ee6cde822b5ca1393a0",
+    "run/mm1/0/trace": "b54d7574cd0e94257cf1351db216ccb5de8fac7e5e0ab8b52c59c6f7b3240d05",
+    "run/mm1/1/trace": "f3ad93884396f6a087b0d202cf67fcfc06071f86651607ef7643aebcc59546d2",
+    "run/mm1/2/trace": "f79cfedeca7aa7826e72104b23ae73df96cc7746f84b5bc37725ca72fc394e8f",
+    "run/sir/0/trace": "4047e214e427027743ff8f0d16cd3c3865ef7c621fd954c98bd70d5a0f44145f",
+    "run/sir/1/trace": "97deec05b21ab4684f37832885e58eae59d078f234fb376be918a59a5b290368",
+    "run/sir/2/trace": "0e59e8697b72f0ed5054f864ea7c19136daa7c19d2a38ff3f9277c87d03b9a9a",
+    "run/rootless/0/trace": "126740e18e5ba0890c3026c71bb718fcd518cf8100787a99ec38ecc802524ec6",
+    "run/rootless/1/trace": "443441543f61483a4d40834e6f261197aaa8bbbac98f7f08a5779680411a2483",
+    "sweep/long": "701aa780f460107a1895f6016e2fddafdb18f842c06f6ae0b8909b33c8ba5251",
+    "sweep/aggregate": "f42764d228a0ca4c0b3b4cf53fe21aed3c4346a9e7a6d435520c1a08f5838226",
     "rootless/0.1": "47fd848af9964f39d7945d04b15a9e229c1858d4f2abeb5047ad6885e2d453f5",
     "rootless/2.0": "09613825fbb94d237f17486d4a0f5587353fb8e6f4c112412879d56c5d5447a8",
     "diagnose/mm1": "b5d90486f1b863a330a949cf78b1609929a9b89d8541d579c58a553b57218a69",
