@@ -3,8 +3,8 @@
 Families LCB / PI / EI each come in a minimization flavor and a root-finding
 flavor that targets close-to-zero predictions symmetrically in sign.  Below
 the degeneracy floor on the posterior std every acquisition switches to its
-noiseless limit form.  The PI and EI gradients evaluate each normal pdf/cdf
-term once, then apply the product rule axis by axis on Python floats.
+noiseless limit form.  Each PI and EI gradient is the acquisition's two
+partials in the posterior mean and std, chained through `dmean` and `dstd`.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ def _phi(z):
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def _Phi(z):
-    return ndtr(z)
-
-
 def design_posteriors(model: GpModel) -> list:
     """The posterior at each design point, in design order."""
     return [posterior(model, theta) for theta in model.design]
@@ -131,14 +127,14 @@ def pi(post: Posterior, inc: Incumbent) -> float:
     mu, sigma, v = post.mean, post.std, inc.value
     if sigma < STD_FLOOR:
         return 1.0 if mu < v else 0.0
-    return float(_Phi((v - mu) / sigma))
+    return float(ndtr((v - mu) / sigma))
 
 
 def rf_pi(post: Posterior, inc: Incumbent) -> float:
     mu, sigma, av = post.mean, post.std, abs(inc.value)
     if sigma < STD_FLOOR:
         return 1.0 if abs(mu) < av else 0.0
-    return float(_Phi((av - mu) / sigma) - _Phi((-av - mu) / sigma))
+    return float(ndtr((av - mu) / sigma) - ndtr((-av - mu) / sigma))
 
 
 def ei(post: Posterior, inc: Incumbent) -> float:
@@ -146,7 +142,7 @@ def ei(post: Posterior, inc: Incumbent) -> float:
     if sigma < STD_FLOOR:
         return max(0.0, v - mu)
     z = (v - mu) / sigma
-    return float((v - mu) * _Phi(z) + sigma * _phi(z))
+    return float((v - mu) * ndtr(z) + sigma * _phi(z))
 
 
 def rf_ei(post: Posterior, inc: Incumbent) -> float:
@@ -156,10 +152,10 @@ def rf_ei(post: Posterior, inc: Incumbent) -> float:
     z_lo = (-av - mu) / sigma
     z_mid = -mu / sigma
     z_hi = (av - mu) / sigma
-    P_lo, P_hi = _Phi(z_lo), _Phi(z_hi)
+    P_lo, P_hi = ndtr(z_lo), ndtr(z_hi)
     return float(
         av * (P_hi - P_lo)
-        + mu * (2.0 * _Phi(z_mid) - P_hi - P_lo)
+        + mu * (2.0 * ndtr(z_mid) - P_hi - P_lo)
         - sigma * (2.0 * _phi(z_mid) - _phi(z_hi) - _phi(z_lo))
     )
 
@@ -188,42 +184,21 @@ def acq_gradient(kind: AcqKind, post: Posterior, grad: PosteriorGrad,
 
     if inc is None:
         raise ValueError("PI/EI need an incumbent")
-    axes = list(zip(grad.dmean.tolist(), grad.dstd.tolist()))
-    s2 = sigma**2
-
     if kind.mode is Mode.MIN:
-        v = inc.value
-        z = (v - mu) / sigma
+        z = (inc.value - mu) / sigma
         p = float(_phi(z))
         if kind.family is Family.PI:
-            return np.array([p * ((-dmu * sigma - (v - mu) * dsigma) / s2)
-                             for dmu, dsigma in axes])
-        # EI: d[(v-mu) Phi(z) + sigma phi(z)] collapses to the two-term form
-        P = float(_Phi(z))
-        return np.array([-P * dmu + p * dsigma for dmu, dsigma in axes])
+            a_mu, a_sigma = -p / sigma, -z * p / sigma
+        else:
+            a_mu, a_sigma = -float(ndtr(z)), p
+        return a_mu * grad.dmean + a_sigma * grad.dstd
 
     av = abs(inc.value)
-    z_lo = (-av - mu) / sigma
-    z_mid = -mu / sigma
-    z_hi = (av - mu) / sigma
-    p_lo, p_mid, p_hi = float(_phi(z_lo)), float(_phi(z_mid)), float(_phi(z_hi))
-    if kind.family is Family.EI:
-        dP = float(2.0 * _Phi(z_mid) - _Phi(z_hi) - _Phi(z_lo))
-        dp = 2.0 * p_mid - p_hi - p_lo
-    out = []
-    for dmu, dsigma in axes:
-        dz_hi = (-dmu * sigma - (av - mu) * dsigma) / s2
-        dz_lo = (-dmu * sigma + (av + mu) * dsigma) / s2
-        if kind.family is Family.PI:
-            out.append(p_hi * dz_hi - p_lo * dz_lo)
-            continue
-        dz_mid = (-dmu * sigma + mu * dsigma) / s2
-        out.append(
-            av * (dz_hi * p_hi - dz_lo * p_lo)
-            + dmu * dP
-            + mu * (2.0 * dz_mid * p_mid - dz_hi * p_hi - dz_lo * p_lo)
-            - dsigma * dp
-            - sigma * (-2.0 * dz_mid * z_mid * p_mid + dz_lo * z_lo * p_lo
-                       + dz_hi * z_hi * p_hi)
-        )
-    return np.array(out)
+    z_lo, z_mid, z_hi = (-av - mu) / sigma, -mu / sigma, (av - mu) / sigma
+    p_lo, p_hi = float(_phi(z_lo)), float(_phi(z_hi))
+    if kind.family is Family.PI:
+        a_mu, a_sigma = (p_lo - p_hi) / sigma, (z_lo * p_lo - z_hi * p_hi) / sigma
+    else:
+        a_mu = float(2.0 * ndtr(z_mid) - ndtr(z_hi) - ndtr(z_lo))
+        a_sigma = -(2.0 * float(_phi(z_mid)) - p_hi - p_lo)
+    return a_mu * grad.dmean + a_sigma * grad.dstd

@@ -6,7 +6,7 @@ replications, long + aggregate CSVs), validate (acquisition gradient check),
 rootless (acquisition-gap study on a sign-constant objective), diagnose
 (residual gap estimators at a point).  Exit codes: 0 success, 1 config
 error, 2 runtime error, 3 validation failure.  Worker count for sweep comes
-from the ROOTCAL_WORKERS environment variable.
+from the ROOTCAL_WORKERS environment variable (an integer >= 1, default 1).
 """
 
 from __future__ import annotations
@@ -214,7 +214,10 @@ def cmd_sweep(config_path: str) -> int:
     labels = [c.label for c in configs]
     if len(set(labels)) != len(labels):
         raise ConfigError("methods must be distinct")
-    workers = int(os.environ.get("ROOTCAL_WORKERS", "1"))
+    try:
+        workers = _COUNT(os.environ.get("ROOTCAL_WORKERS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"ROOTCAL_WORKERS {exc}")
     long_rows, aggregate_rows = macro_sweep(
         cfg["problem"], cfg.get("problem_params"), configs,
         cfg["macro_reps"], workers=workers,
@@ -281,6 +284,21 @@ def cmd_diagnose(problem: str, theta, reps: int, seed: int,
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= `low`."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+    return parse
+
+
+_COUNT, _SEED = _int_at_least(1), _int_at_least(0)
+
+
 class _Parser(argparse.ArgumentParser):
     # argument errors are config errors (exit 1), not the argparse default 2
     def error(self, message):
@@ -298,22 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config")
 
     p_val = sub.add_parser("validate", help="acquisition gradient validation")
-    p_val.add_argument("--cases", type=int, default=100)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--cases", type=_COUNT, default=100)
+    p_val.add_argument("--seed", type=_SEED, default=0)
 
     p_root = sub.add_parser("rootless", help="acquisition gaps without a root")
     p_root.add_argument("--eps", type=float, required=True)
     p_root.add_argument("--design-sizes", default="5,9,13,17,21")
-    p_root.add_argument("--seed", type=int, default=0)
-    p_root.add_argument("--n-seeds", type=int, default=100)
+    p_root.add_argument("--seed", type=_SEED, default=0)
+    p_root.add_argument("--n-seeds", type=_COUNT, default=100)
     p_root.add_argument("--output", required=True)
 
     p_diag = sub.add_parser("diagnose", help="residual gap diagnostics at a point")
     p_diag.add_argument("--problem", required=True, choices=list(PROBLEMS))
     p_diag.add_argument("--theta", required=True,
                         help="comma-separated parameter components")
-    p_diag.add_argument("--reps", type=int, default=100)
-    p_diag.add_argument("--seed", type=int, default=0)
+    p_diag.add_argument("--reps", type=_COUNT, default=100)
+    p_diag.add_argument("--seed", type=_SEED, default=0)
     p_diag.add_argument("--eps", type=float, default=None,
                         help="irreducible discrepancy for the rootless problem")
     return parser
@@ -331,8 +349,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.config)
         if args.command == "validate":
-            if args.cases < 1:
-                raise ConfigError("--cases must be >= 1")
             return cmd_validate(args.cases, args.seed)
         if args.command == "rootless":
             try:

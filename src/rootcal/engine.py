@@ -128,10 +128,12 @@ def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
 
 
 def _draw_checked(model: SimulationModel, theta, gen, reps: int) -> np.ndarray:
-    """`model.draw(theta, gen, reps)`, rejecting a non-finite or out-of-box
-    theta before drawing and a non-finite draw after."""
+    """`model.draw(theta, gen, reps)`, rejecting a theta of the wrong length,
+    non-finite or out of the box before drawing and a non-finite draw after."""
     point = np.atleast_1d(np.asarray(theta, dtype=float))
     where = f"{type(model).__name__}: theta {point.tolist()}"
+    if point.shape != (model.box.dim,):
+        raise ValueError(f"{where} does not match the model's {model.box.dim} axes")
     if not np.all(np.isfinite(point)):
         raise ValueError(f"{where} is not finite")
     if not model.box.contains(point):
@@ -302,6 +304,8 @@ def rootless_differences(eps: float, design_size: int, seed: int,
 
 def rootless_table(eps: float, design_sizes, seed: int, n_seeds: int = 100):
     """Average the per-seed acquisition gaps over `n_seeds` replications."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     rows = []
     for size in design_sizes:
         recs = [rootless_differences(eps, size, seed, rep)

@@ -194,8 +194,9 @@ def _optimizer_results():
 
 
 # SHA-256 of optimize's (x, value) bytes over `_surfaces` and
-# `_curvature_surfaces`, recorded before the L-BFGS history kept its rho values.
-OPTIMIZER_ORACLE = "8466849873d1f8fe4144589076ff90cae5e92eaba86db54dbff4fe787d6c9ee9"
+# `_curvature_surfaces`, recorded after the PI and EI gradients became their
+# two partials in the posterior mean and std.
+OPTIMIZER_ORACLE = "37ab0a32b26bc6f8c1615e8d078b2d8b74aeadc6e7c3544b803aed6d2082f0c3"
 
 
 def optimizer_digest() -> str:
@@ -276,3 +277,7 @@ class TestLbfgs:
             got = _lbfgs_direction(grad, hist)
             assert got.tobytes() == _two_loop_reference(grad, s_hist, y_hist).tobytes()
         assert skipped > 100
+
+
+if __name__ == "__main__":
+    print(f'OPTIMIZER_ORACLE = "{optimizer_digest()}"')

@@ -133,6 +133,73 @@ def _fd_model(dim, seed, zero_mean_at=None):
     return model_at(box, design, targets, np.full(n, 0.02), 0.5)
 
 
+def _product_rule_gradient(kind, post, grad, inc):
+    """The acquisition gradient derived axis by axis through the product rule
+    on every z: a reference for `acq_gradient`'s two-partial form."""
+    mu, sigma = post.mean, post.std
+    if kind.family is Family.LCB:
+        if kind.mode is Mode.ROOT:
+            return np.sign(mu) * grad.dmean - kind.kappa * grad.dstd
+        return grad.dmean - kind.kappa * grad.dstd
+    axes = list(zip(grad.dmean.tolist(), grad.dstd.tolist()))
+    s2 = sigma**2
+    if kind.mode is Mode.MIN:
+        v = inc.value
+        z = (v - mu) / sigma
+        p = float(_phi(z))
+        if kind.family is Family.PI:
+            return np.array([p * ((-dmu * sigma - (v - mu) * dsigma) / s2)
+                             for dmu, dsigma in axes])
+        P = float(ndtr(z))
+        return np.array([-P * dmu + p * dsigma for dmu, dsigma in axes])
+    av = abs(inc.value)
+    z_lo = (-av - mu) / sigma
+    z_mid = -mu / sigma
+    z_hi = (av - mu) / sigma
+    p_lo, p_mid, p_hi = float(_phi(z_lo)), float(_phi(z_mid)), float(_phi(z_hi))
+    dP = float(2.0 * ndtr(z_mid) - ndtr(z_hi) - ndtr(z_lo))
+    dp = 2.0 * p_mid - p_hi - p_lo
+    out = []
+    for dmu, dsigma in axes:
+        dz_hi = (-dmu * sigma - (av - mu) * dsigma) / s2
+        dz_lo = (-dmu * sigma + (av + mu) * dsigma) / s2
+        if kind.family is Family.PI:
+            out.append(p_hi * dz_hi - p_lo * dz_lo)
+            continue
+        dz_mid = (-dmu * sigma + mu * dsigma) / s2
+        out.append(
+            av * (dz_hi * p_hi - dz_lo * p_lo)
+            + dmu * dP
+            + mu * (2.0 * dz_mid * p_mid - dz_hi * p_hi - dz_lo * p_lo)
+            - dsigma * dp
+            - sigma * (-2.0 * dz_mid * z_mid * p_mid + dz_lo * z_lo * p_lo
+                       + dz_hi * z_hi * p_hi)
+        )
+    return np.array(out)
+
+
+def _fitted_cases(count):
+    """`count` seeded (post, grad, inc) cases on noisy fitted models in 1-3
+    dimensions, probed inside the box and, for a few, far outside the data."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    while len(cases) < count:
+        dim = int(rng.integers(1, 4))
+        box = ParameterBox(-1.0 - rng.random(dim), 1.0 + 2.0 * rng.random(dim))
+        n = int(rng.integers(3, 10))
+        design = box.from_unit(rng.random((n, dim)))
+        model = model_at(box, design, rng.normal(size=n), rng.uniform(0.0, 0.05, n),
+                         rng.uniform(0.1, 1.0))
+        inc = Incumbent(0, float(rng.choice([0.0, rng.normal(), 1e-3 * rng.normal()])))
+        thetas = [box.from_unit(u) for u in rng.random((8, dim))] + [design[0]]
+        thetas.append(box.from_unit(rng.uniform(-3.0, 4.0, dim)))
+        for theta in thetas:
+            post, grad = posterior_grad(model, theta)
+            if grad is not None:
+                cases.append((post, grad, inc))
+    return cases
+
+
 class TestGradients:
     # (dim, model seed, point, incumbent value, shift targets to mean 0 there)
     FD_CASES = [
@@ -164,6 +231,25 @@ class TestGradients:
                     fd = (acq_value(kind, posterior(model, hi), inc)
                           - acq_value(kind, posterior(model, lo), inc)) / (2 * h)
                     assert grad[axis] == pytest.approx(fd, abs=1e-6), (dim, x, kind, axis)
+
+    def test_two_partials_match_product_rule(self):
+        cases = [c for c in _oracle_cases()[0] if c[1] is not None] + _fitted_cases(1000)
+        worst = 0.0
+        for post, grad, inc in cases:
+            # both forms round differently; a relative bound would fail where
+            # root-EI's mean partial cancels to rounding noise far from the data
+            scale = ((np.max(np.abs(grad.dmean)) + np.max(np.abs(grad.dstd)))
+                     * (1.0 + 1.0 / post.std))
+            for kind in KINDS:
+                got = acq_gradient(kind, post, grad, inc)
+                want = _product_rule_gradient(kind, post, grad, inc)
+                if kind.family is Family.LCB:
+                    assert got.tobytes() == want.tobytes(), kind
+                    continue
+                gap = float(np.max(np.abs(got - want)))
+                assert gap <= 1e-14 * scale, (kind, post, inc, gap, scale)
+                worst = max(worst, gap)
+        assert worst > 0.0  # the forms do differ in rounding, so the check bites
 
 
 class TestSelectIncumbent:
@@ -204,9 +290,10 @@ class TestSelectIncumbent:
 
 
 # SHA-256 of every acq_value, acq_gradient and posterior_grad result over
-# `_oracle_cases`, recorded before the scalar gradients were rewritten per
-# axis.  Any change to these bytes is a behaviour change, not a speedup.
-ORACLE = "67b61c4aa80a2bf601c9a2045b6d87199272d06cbfea695d4bf8796e439d2c42"
+# `_oracle_cases`, recorded after the PI and EI gradients became their two
+# partials in the posterior mean and std.  Any change to these bytes is a
+# behaviour change, not a speedup.
+ORACLE = "53b8e39317f512461419587f410437c11c8750d8965c0db900a215b6fe12d2e1"
 
 
 def _oracle_cases():

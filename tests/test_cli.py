@@ -244,6 +244,23 @@ class TestSweep:
         cfg["methods"][1] = dict(cfg["methods"][0])
         assert main(["sweep", _write(tmp_path, cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("workers", ["abc", "0", "-3", "1.5", ""])
+    def test_rejects_bad_worker_count_before_running(self, tmp_path, monkeypatch, capsys,
+                                                     workers):
+        from rootcal import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "macro_sweep", no_sweep)
+        monkeypatch.setenv("ROOTCAL_WORKERS", workers)
+        cfg = self._sweep_config(tmp_path)
+        assert main(["sweep", _write(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"ROOTCAL_WORKERS must be an integer >= 1, got {workers!r}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "long.csv").exists()
+        assert not (tmp_path / "agg.csv").exists()
+
 
 class TestValidate:
     def test_passes_and_prints_per_acquisition(self, capsys):
@@ -264,6 +281,34 @@ class TestValidate:
 
     def test_rejects_zero_cases(self):
         assert main(["validate", "--cases", "0"]) == EXIT_CONFIG
+
+
+class TestCountAndSeedFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["validate", "--cases", "abc"], "--cases"),
+        (["validate", "--seed", "-1"], "--seed"),
+        (["rootless", "--eps", "1", "--n-seeds", "0"], "--n-seeds"),
+        (["rootless", "--eps", "1", "--n-seeds", "-1"], "--n-seeds"),
+        (["rootless", "--eps", "1", "--seed", "-1"], "--seed"),
+        (["diagnose", "--problem", "mm1", "--theta", "7", "--reps", "0"], "--reps"),
+        (["diagnose", "--problem", "mm1", "--theta", "7", "--reps", "-2"], "--reps"),
+        (["diagnose", "--problem", "mm1", "--theta", "7", "--seed", "-1"], "--seed"),
+    ])
+    def test_rejected_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "gaps.csv"
+        if argv[0] == "rootless":
+            argv = argv + ["--output", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be an integer >= " in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_smallest_values_accepted(self, tmp_path, capsys):
+        assert main(["validate", "--cases", "1", "--seed", "0"]) == EXIT_OK
+        assert main(["diagnose", "--problem", "mm1", "--theta", "7", "--reps", "1",
+                     "--seed", "0"]) == EXIT_OK
+        capsys.readouterr()
 
 
 class TestRootless:

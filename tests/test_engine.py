@@ -169,6 +169,15 @@ class TestInputGuard:
 
         self._assert_both_reject(InfModel(), [0.5], "non-finite draw")
 
+    @pytest.mark.parametrize("problem,theta,axes", [
+        ("mm1", [6.0, 7.0], 1),
+        ("himmelblau2d", [0.5], 2),
+        ("himmelblau2d", [0.5, 0.5, 0.5], 2),
+    ])
+    def test_theta_of_wrong_length_rejected(self, problem, theta, axes):
+        self._assert_both_reject(make_model(problem, RngStream(0)), theta,
+                                 f"does not match the model's {axes} axes")
+
     def test_box_edges_accepted(self):
         sim = make_model("sir", RngStream(0))
         for theta in ([0.0], [1.0]):
@@ -401,3 +410,8 @@ class TestRootless:
         rows = rootless_table(10.0, [5, 9], seed=0, n_seeds=3)
         assert [r[0] for r in rows] == [5, 9]
         assert all(len(r) == 4 for r in rows)
+
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_table_needs_a_seed(self, n_seeds):
+        with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got {n_seeds}"):
+            rootless_table(10.0, [5], seed=0, n_seeds=n_seeds)

@@ -58,14 +58,14 @@ RUN_CASES = [(problem, i) for problem in RUNS for i in range(len(RUNS[problem]))
 GOLDEN = {
     "run/himmelblau2d/0/trace": "106780dec1df4c9d0f1c7064d346a299b95ec625d7e63bb63072d186e5acbdc0",
     "run/himmelblau2d/1/trace": "6e06d5d1b5b6f7038b735c36f8274369fe7ccfce8f4f6ee6cde822b5ca1393a0",
-    "run/mm1/0/trace": "b54d7574cd0e94257cf1351db216ccb5de8fac7e5e0ab8b52c59c6f7b3240d05",
+    "run/mm1/0/trace": "dbf8b1923466e4773968bff75fa7ac96fd59dc1076cc087c70489af39ba45efe",
     "run/mm1/1/trace": "f3ad93884396f6a087b0d202cf67fcfc06071f86651607ef7643aebcc59546d2",
-    "run/mm1/2/trace": "f79cfedeca7aa7826e72104b23ae73df96cc7746f84b5bc37725ca72fc394e8f",
-    "run/sir/0/trace": "4047e214e427027743ff8f0d16cd3c3865ef7c621fd954c98bd70d5a0f44145f",
+    "run/mm1/2/trace": "f39157c17515d2585eccc1282589c07a172d5a4d08fca04cdad6448b952a3d03",
+    "run/sir/0/trace": "ec44f7bda9751ef072e6f056c6d7cdb16be178b29057c14e21423a467f22dd00",
     "run/sir/1/trace": "97deec05b21ab4684f37832885e58eae59d078f234fb376be918a59a5b290368",
-    "run/sir/2/trace": "0e59e8697b72f0ed5054f864ea7c19136daa7c19d2a38ff3f9277c87d03b9a9a",
+    "run/sir/2/trace": "fb6c093cf64967a29d26e946ca30b3ea7cde68de0ef2a54345c91f995d8e1a75",
     "run/rootless/0/trace": "126740e18e5ba0890c3026c71bb718fcd518cf8100787a99ec38ecc802524ec6",
-    "run/rootless/1/trace": "443441543f61483a4d40834e6f261197aaa8bbbac98f7f08a5779680411a2483",
+    "run/rootless/1/trace": "89ec9621895152c71b1af6e1354b0004ee4f81a480412acd10a5b0c3f143a8f0",
     "sweep/long": "701aa780f460107a1895f6016e2fddafdb18f842c06f6ae0b8909b33c8ba5251",
     "sweep/aggregate": "f42764d228a0ca4c0b3b4cf53fe21aed3c4346a9e7a6d435520c1a08f5838226",
     "rootless/0.1": "47fd848af9964f39d7945d04b15a9e229c1858d4f2abeb5047ad6885e2d453f5",
@@ -79,14 +79,14 @@ GOLDEN = {
 DECISIONS = {
     "run/himmelblau2d/0/decisions": "f5dcd62abd294d8a24bae7f2b8e40a104b856768f455a4675969def3f7f0dfbe",
     "run/himmelblau2d/1/decisions": "d1c16cfc03b5b95c3b283a5dead40450aa030ddaa1008f9af38411a281897b60",
-    "run/mm1/0/decisions": "19e9547f516cd598b6230822fa117cb1dd44e325a55be8fe391716980b4f9157",
+    "run/mm1/0/decisions": "b2e6a75f6c766923a3fbc730527ddab930493ba6ef1d120a4aab3b781ab4ba83",
     "run/mm1/1/decisions": "f499702f0f04ae734411c648471a3257c9ec17c1e1c5b570e2348460f9d147a7",
-    "run/mm1/2/decisions": "e3f8dc424088fb725e74095bed45d6796f9536e4395f407acfdf234a0b9ba3c6",
-    "run/sir/0/decisions": "11af623ba2216280693bc6229e72beea099a7b1d3e9e381bca51b80639ce9160",
+    "run/mm1/2/decisions": "99218850eda08e93e96b1dbf18f9377522982a6f5cd4b6974b807d0c4fd89aac",
+    "run/sir/0/decisions": "cc982624012a3a338f5ad9978a504aee5954a1e5f932f02febbeea1e9e6dde76",
     "run/sir/1/decisions": "1e6fd5b9079ea6f85fa369d47220eed562bad795d762607e744ce466be5c3294",
-    "run/sir/2/decisions": "79d140f8a65bd4dbb6a583cea28ee848daeaa638a895c6df885c4f42a2052964",
+    "run/sir/2/decisions": "cd9a1b9a9ae781ea934f70c1e48536153597f3eb8a1a105f39d00eeaeddcffa7",
     "run/rootless/0/decisions": "6e0be9211640f5887c7fc6c6aa57343bccb20a3625a2ade8e7ebcc817ca2c87d",
-    "run/rootless/1/decisions": "60498a800b51ca3ee3ca44d1c5b36c4536e4e058d69bd47b6cca101db8888dc9",
+    "run/rootless/1/decisions": "633c9b071be4133b246db1f2b9be83b20f326bf6e2500f906c2f4a10f0146bcc",
 }
 
 
