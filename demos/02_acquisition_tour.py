@@ -24,6 +24,7 @@ from rootcal import (
     design_posteriors,
     select_incumbent,
 )
+from rootcal.metamodel import STD_FLOOR
 
 
 def main():
@@ -43,11 +44,12 @@ def main():
             inc = select_incumbent(model, mode, posts)
 
             def objective(theta):
-                post, grad = posterior_grad(model, theta)
-                value = acq_value(kind, post, inc)
-                if grad is not None:
-                    grad = acq_gradient(kind, post, grad, inc)
-                return value, grad
+                # the optimizer asks for the gradient only at points it steps from
+                post = posterior(model, theta)
+                if post.std < STD_FLOOR:
+                    return acq_value(kind, post, inc), None
+                return acq_value(kind, post, inc), lambda: acq_gradient(
+                    kind, post, posterior_grad(model, theta, post)[1], inc)
 
             vals = [acq_value(kind, posterior(model, [g]), inc) for g in grid]
             best, best_val = optimize(objective, box, RngStream(1),

@@ -1,9 +1,11 @@
 """Multi-start box-constrained maximization/minimization of acquisition surfaces.
 
 A small projected limited-memory quasi-Newton loop with backtracking line
-search.  The objective callback returns (value, gradient); a gradient of
-None marks a degenerate point (posterior std at the floor) and terminates
-that local search at the limit-form value.
+search.  The objective callback returns (value, gradient): a zero-argument
+callable giving the gradient array, or None at a degenerate point (posterior
+std at the floor), which ends that local search at the limit-form value.
+A line-search trial needs only its value, so a gradient is asked for only
+at a start and at an accepted step that begins another iteration, once each.
 """
 
 from __future__ import annotations
@@ -62,13 +64,21 @@ def _project(x, lower, upper):
 
 def _local_search(f, x0, lower, upper):
     x = _project(x0, lower, upper)
-    val, grad = f(x)
+    val, gradient = f(x)
     if not np.isfinite(val):
         return x, val
-    hist = []
+    hist, grad = [], None
     for _ in range(ITERS):
-        if grad is None:
+        if gradient is None:
             break
+        # the gradient at x, asked for only now that the search steps from x
+        grad, grad_prev = gradient(), grad
+        if grad_prev is not None:
+            s, y = x - x_prev, grad - grad_prev
+            sy = float(s @ y)
+            hist.append((s, y, None if sy <= 1e-12 else 1.0 / sy))
+            if len(hist) > MEMORY:
+                hist.pop(0)
         proj_grad = _project(x - grad, lower, upper) - x
         if math.sqrt(float(proj_grad @ proj_grad)) < CONVERGENCE_TOL:
             break
@@ -76,24 +86,16 @@ def _local_search(f, x0, lower, upper):
         if float(d @ grad) >= 0:
             d = -grad
         step = INITIAL_STEP
-        accepted = False
         while step > 1e-12:
             x_new = _project(x + step * d, lower, upper)
-            val_new, grad_new = f(x_new)
+            val_new, gradient = f(x_new)
             decrease = SUFFICIENT_DECREASE * float(grad @ (x_new - x))
             if np.isfinite(val_new) and val_new <= val + decrease:
-                accepted = True
                 break
             step *= SHRINK
-        if not accepted:
+        else:
             break
-        if grad_new is not None:
-            s, y = x_new - x, grad_new - grad
-            sy = float(s @ y)
-            hist.append((s, y, None if sy <= 1e-12 else 1.0 / sy))
-            if len(hist) > MEMORY:
-                hist.pop(0)
-        x, val, grad = x_new, val_new, grad_new
+        x_prev, x, val = x, x_new, val_new
     return x, val
 
 
@@ -102,20 +104,20 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
     """Best point over `STARTS` local searches from uniform random starts,
     and the objective's value there.
 
-    `objective(theta) -> (value, grad_or_None)`, the gradient a float array,
-    which a minimization uses as it is.  Both the value at each start and at
-    each line-search trial count toward the reduction, so the result never
-    scores worse than any start point.  The returned value is the one the
+    `objective(theta) -> (value, gradient_or_None)`, where `gradient()`
+    gives a float array, which a minimization uses as it is.  Both the value
+    at each start and at each line-search trial count toward the reduction,
+    so the result never scores worse than any start point.  The returned value is the one the
     objective gave at the returned point.
     """
     gen = rng.generator()
     sign = -1.0 if maximize else 1.0
 
     def f(x):
-        val, grad = objective(x)
-        if grad is None:
+        val, gradient = objective(x)
+        if gradient is None:
             return sign * val, None
-        return sign * val, sign * np.asarray(grad, dtype=float)
+        return sign * val, lambda: sign * np.asarray(gradient(), dtype=float)
 
     best_x, best_val = None, np.inf
     for _ in range(STARTS):

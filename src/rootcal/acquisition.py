@@ -65,8 +65,8 @@ class AcqKind:
                 raise ValueError(f"kappa={self.kappa} is read only by lcb, not {self.family.value}")
         elif self.kappa is None:
             object.__setattr__(self, "kappa", 1.0)
-        elif not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        elif not 0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     @property
     def maximize(self) -> bool:

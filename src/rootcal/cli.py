@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -112,12 +113,17 @@ def _config_validator():
     return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
+def _non_finite(literal: str):
+    """json.load's hook for NaN, Infinity and -Infinity, which JSON itself lacks."""
+    raise ConfigError(f"invalid config: non-finite number {literal} is not allowed")
+
+
 def load_config(path: str) -> dict:
     from jsonschema.exceptions import best_match
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_non_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     error = best_match(_config_validator().iter_errors(raw))
@@ -248,8 +254,8 @@ def cmd_validate(cases: int, seed: int) -> int:
 
 def cmd_rootless(eps: float, design_sizes, seed: int, n_seeds: int,
                  output: str) -> int:
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"eps must be positive and finite, got {eps}")
     sizes = sorted(set(int(s) for s in design_sizes))
     if any(s < 2 for s in sizes):
         raise ConfigError("design sizes must be >= 2")

@@ -32,7 +32,7 @@ from .acquisition import (
     select_incumbent,
 )
 from .core import ObservationSummary, ParameterBox, RngStream, aggregate_squared, summarize
-from .metamodel import GpModel, fit, kernel_matrix, posterior, posterior_grad
+from .metamodel import STD_FLOOR, GpModel, fit, kernel_matrix, posterior, posterior_grad
 from .simulators import RootlessQuadratic, SimulationModel, make_model
 
 __all__ = [
@@ -204,11 +204,11 @@ def _next_point(model: GpModel, inc: Incumbent, config: RunConfig,
                 active: ParameterBox, rng: RngStream):
     """The acquisition optimum in the active box and its acquisition value."""
     def objective(theta):
-        post, grad = posterior_grad(model, theta)
-        value = acq_value(config.acq, post, inc)
-        if grad is not None:
-            grad = acq_gradient(config.acq, post, grad, inc)
-        return value, grad
+        post = posterior(model, theta)
+        if post.std < STD_FLOOR:
+            return acq_value(config.acq, post, inc), None
+        return acq_value(config.acq, post, inc), lambda: acq_gradient(
+            config.acq, post, posterior_grad(model, theta, post)[1], inc)
 
     return optimize(objective, active, rng, maximize=config.acq.maximize)
 

@@ -14,7 +14,7 @@ operations a query would apply, so a query returns the same bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -54,6 +54,8 @@ class DegenerateStdError(RuntimeError):
 class Posterior:
     mean: float
     var: float
+    # (diff, kvec) from the query that made it, which posterior_grad reuses
+    query: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def std(self) -> float:
@@ -296,21 +298,25 @@ def _kernel_vector(model: GpModel, theta) -> tuple[np.ndarray, np.ndarray]:
     return diff, np.exp(np.add.reduce(diff * diff, axis=-1) / model.neg_two_l2)
 
 
-def _posterior_at(model: GpModel, kvec: np.ndarray) -> Posterior:
-    w = _tri_solve(model.chol, kvec)
-    return Posterior(mean=float(kvec @ model.alpha), var=max(1.0 - float(w @ w), 0.0))
-
-
 def posterior(model: GpModel, theta) -> Posterior:
-    return _posterior_at(model, _kernel_vector(model, theta)[1])
-
-
-def posterior_grad(model: GpModel, theta) -> tuple[Posterior, PosteriorGrad | None]:
-    """The posterior at theta and its gradient, or None where std < STD_FLOOR."""
     diff, kvec = _kernel_vector(model, theta)
-    post = _posterior_at(model, kvec)
+    w = _tri_solve(model.chol, kvec)
+    return Posterior(mean=float(kvec @ model.alpha), var=max(1.0 - float(w @ w), 0.0),
+                     query=(diff, kvec))
+
+
+def posterior_grad(model: GpModel, theta,
+                   post: Posterior | None = None) -> tuple[Posterior, PosteriorGrad | None]:
+    """The posterior at theta and its gradient, or None where std < STD_FLOOR.
+
+    A `post` that ``posterior(model, theta)`` returned lends its kernel
+    vector, so the gradient costs no second query.
+    """
+    if post is None:
+        post = posterior(model, theta)
     if post.std < STD_FLOOR:
         return post, None
+    diff, kvec = post.query
     # Jacobian of the kernel vector in unit coordinates, (m_theta, n)
     G = (diff * kvec[:, None]).T / model.neg_l2
     # chain rule of the unit-cube mapping back to original units

@@ -195,8 +195,8 @@ class RootlessQuadratic(SimulationModel):
     output_dim = 1
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
     def draw(self, theta, gen: np.random.Generator, reps: int = 1) -> np.ndarray:
         value = float(theta[0]) ** 2 + self.eps

@@ -13,7 +13,7 @@ from rootcal.acqopt import (
 )
 from rootcal.acquisition import AcqKind, Family, Incumbent, Mode, acq_gradient, acq_value
 from rootcal.core import ParameterBox, RngStream
-from rootcal.metamodel import model_at, posterior_grad
+from rootcal.metamodel import STD_FLOOR, model_at, posterior, posterior_grad
 
 
 def _quadratic(center):
@@ -21,7 +21,7 @@ def _quadratic(center):
 
     def f(x):
         d = x - center
-        return float(d @ d), 2.0 * d
+        return float(d @ d), lambda: 2.0 * d
 
     return f
 
@@ -43,7 +43,7 @@ class TestOptimize:
         box = ParameterBox([-1.0], [1.0])
 
         def f(x):
-            return float(-(x[0] - 0.3) ** 2), np.array([-2.0 * (x[0] - 0.3)])
+            return float(-(x[0] - 0.3) ** 2), lambda: np.array([-2.0 * (x[0] - 0.3)])
 
         x, value = optimize(f, box, RngStream(2), maximize=True)
         assert x[0] == pytest.approx(0.3, abs=1e-4)
@@ -62,7 +62,7 @@ class TestOptimize:
         box = ParameterBox([0.0], [4.0])
 
         def f(x):
-            return float(np.sin(3 * x[0]) + 0.1 * x[0]), np.array(
+            return float(np.sin(3 * x[0]) + 0.1 * x[0]), lambda: np.array(
                 [3 * np.cos(3 * x[0]) + 0.1])
 
         rng = RngStream(4)
@@ -84,7 +84,7 @@ class TestOptimize:
         box = ParameterBox([0.0], [1.0])
 
         def f(x):
-            return float("nan"), np.zeros(1)
+            return float("nan"), lambda: np.zeros(1)
 
         with pytest.raises(OptimizationError):
             optimize(f, box, RngStream(6))
@@ -104,9 +104,11 @@ def _surfaces():
         inc = Incumbent(0, float(rng.normal()))
         for kind in (AcqKind(family, mode) for family in Family for mode in Mode):
             def objective(theta, kind=kind, model=model, inc=inc):
-                post, grad = posterior_grad(model, theta)
-                value = acq_value(kind, post, inc)
-                return value, None if grad is None else acq_gradient(kind, post, grad, inc)
+                post = posterior(model, theta)
+                if post.std < STD_FLOOR:
+                    return acq_value(kind, post, inc), None
+                return acq_value(kind, post, inc), lambda: acq_gradient(
+                    kind, post, posterior_grad(model, theta, post)[1], inc)
 
             yield box, objective, kind.maximize
 
@@ -135,7 +137,7 @@ class TestProjection:
         slope = 1e6 * (self.UPPER - self.LOWER) * np.array([1.0, -1.0])
 
         def f(x):
-            return float(slope @ x), slope
+            return float(slope @ x), lambda: slope
 
         seen = self._iterates(f, [0.5, 0.5])
         assert len(seen) > 1
@@ -168,6 +170,65 @@ class TestProjection:
             assert np.float64(value).tobytes() == np.float64(value_ref).tobytes()
 
 
+class TestGradientRequests:
+    """A gradient is asked for only at a point the search steps from."""
+
+    def _recorded_searches(self, monkeypatch):
+        """Per local search, each objective call as [x, value, gradient,
+        requests], with value and gradient in the minimization's sign."""
+        searches, local_search = [], acqopt._local_search
+
+        def recording_search(f, x0, lower, upper):
+            searches.append([])
+            return local_search(f, x0, lower, upper)
+
+        monkeypatch.setattr(acqopt, "_local_search", recording_search)
+        surfaces = list(_surfaces()) + list(_curvature_surfaces())
+        for seed, (box, objective, maximize) in enumerate(surfaces):
+            sign = -1.0 if maximize else 1.0
+
+            def recorded(theta, objective=objective, sign=sign):
+                value, gradient = objective(theta)
+                call = [theta.copy(), sign * value, None, 0]
+                searches[-1].append(call)
+                if gradient is None:
+                    return value, None
+                call[2] = sign * np.asarray(gradient(), dtype=float)
+
+                def requested():
+                    call[3] += 1
+                    return gradient()
+
+                return value, requested
+
+            optimize(recorded, box, RngStream(seed), maximize=maximize)
+        return searches
+
+    def test_only_starts_and_accepted_non_final_steps(self, monkeypatch):
+        searches = self._recorded_searches(monkeypatch)
+        rejected = ran_out = 0
+        for calls in searches:
+            # replay the Armijo rule on the recorded trials
+            accepted = [0] if np.isfinite(calls[0][1]) else []
+            for i in range(1, len(calls)):
+                x, val, grad, _ = calls[accepted[-1]]
+                x_new, val_new = calls[i][:2]
+                decrease = acqopt.SUFFICIENT_DECREASE * float(grad @ (x_new - x))
+                if np.isfinite(val_new) and val_new <= val + decrease:
+                    accepted.append(i)
+            stepped_from = [i for p, i in enumerate(accepted)
+                            if p < acqopt.ITERS and calls[i][2] is not None]
+            assert all(call[3] <= 1 for call in calls)
+            assert [i for i, call in enumerate(calls) if call[3]] == stepped_from
+            assert sum(call[3] for call in calls) == len(stepped_from)
+            rejected += len(calls) - len(accepted)
+            if len(accepted) == acqopt.ITERS + 1:
+                ran_out += 1
+                assert calls[accepted[-1]][3] == 0  # the final iterate's
+        assert len(searches) == acqopt.STARTS * 30
+        assert rejected > 0 and ran_out > 0
+
+
 def _curvature_surfaces():
     """Seeded (box, objective, maximize) triples on which s'y <= 1e-12 for some
     accepted steps, so L-BFGS skips those pairs: saddles in 2-3 dims and a
@@ -180,7 +241,7 @@ def _curvature_surfaces():
 
         def saddle(x, center=center, signs=signs):
             d = x - center
-            return float(signs @ (d * d)), 2.0 * signs * d
+            return float(signs @ (d * d)), lambda: 2.0 * signs * d
 
         yield box, saddle, False
     box = ParameterBox([-1.0], [2.0])

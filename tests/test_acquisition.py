@@ -109,6 +109,9 @@ class TestAcqValueDispatch:
                 AcqKind(family, Mode.ROOT, 2.5)
         with pytest.raises(ValueError, match="kappa"):
             AcqKind(Family.LCB, Mode.ROOT, 0.0)
+        for kappa in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="kappa must be positive and finite"):
+                AcqKind(Family.LCB, Mode.MIN, kappa)
 
     def test_lcb_is_minimized_others_maximized(self):
         assert not AcqKind(Family.LCB, Mode.ROOT).maximize

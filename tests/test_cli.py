@@ -156,6 +156,33 @@ class TestConfigValidation:
         assert "infection_real" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("edit,literal", [
+        (lambda cfg: cfg["problem_params"].update(eps="@NaN"), "NaN"),
+        (lambda cfg: cfg.update(problem="mm1", problem_params={"arrival_real": "@NaN"}),
+         "NaN"),
+        (lambda cfg: cfg.update(problem="sir", problem_params={"infection_real": "@NaN"}),
+         "NaN"),
+        (lambda cfg: cfg["methods"][0].update(acq="lcb", kappa="@Infinity"), "Infinity"),
+        (lambda cfg: cfg.update(problem="mm1", problem_params={"service_rate": "@Infinity"}),
+         "Infinity"),
+        (lambda cfg: cfg.update(alpha="@-Infinity"), "-Infinity"),
+    ], ids=["eps-nan", "arrival-nan", "infection-nan", "kappa-inf", "service-inf",
+            "alpha-minus-inf"])
+    def test_non_finite_literal_is_config_error_naming_it(self, tmp_path, capsys,
+                                                          command, edit, literal):
+        cfg = _base_config(tmp_path, macro_reps=1)
+        cfg["output"].update(long=str(tmp_path / "long.csv"),
+                             aggregate=str(tmp_path / "agg.csv"))
+        edit(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace(f'"@{literal}"', literal))
+        with pytest.raises(ConfigError, match=f"non-finite number {literal} "):
+            load_config(str(path))
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert f"non-finite number {literal} " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_problems_and_their_params_are_the_model_table(self):
         """The problem enum and `diagnose --problem` list the model table's
         names, and problem_params lists every keyword of the table's
@@ -329,6 +356,8 @@ class TestRootless:
     def test_rejects_bad_eps_and_sizes(self, tmp_path):
         out = str(tmp_path / "x.csv")
         assert main(["rootless", "--eps", "0", "--output", out]) == EXIT_CONFIG
+        for eps in ("nan", "inf"):
+            assert main(["rootless", "--eps", eps, "--output", out]) == EXIT_CONFIG
         assert main(["rootless", "--eps", "1", "--design-sizes", "1,5",
                      "--output", out]) == EXIT_CONFIG
         assert main(["rootless", "--eps", "1", "--design-sizes", "a,b",
@@ -355,6 +384,15 @@ class TestDiagnose:
         code = main(["diagnose", "--problem", "mm1", "--theta", "5", "--eps", "0.1"])
         assert code != EXIT_OK
         assert "eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_rejects_non_finite_eps_naming_it(self, capsys, eps):
+        code = main(["diagnose", "--problem", "rootless", "--theta", "0.5",
+                     "--eps", eps])
+        assert code != EXIT_OK
+        captured = capsys.readouterr()
+        assert "eps must be positive and finite" in captured.err
+        assert captured.out == ""
 
     def test_rejects_theta_outside_box(self, capsys):
         code = main(["diagnose", "--problem", "sir", "--theta", "1.5"])

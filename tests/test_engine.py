@@ -254,8 +254,9 @@ class TestRunCalibration:
         # comes from the optimizer rather than a fresh posterior
         from rootcal import acquisition, engine
 
-        fit_sizes, post_calls = [], []
-        fit, post = engine.fit, acquisition.posterior
+        fit_sizes, post_calls, optimizing = [], [], []
+        fit, post, optimize = engine.fit, acquisition.posterior, engine.optimize
+        engine_post = engine.posterior
 
         def counting_fit(box, design, *args):
             fit_sizes.append(len(design))
@@ -265,12 +266,22 @@ class TestRunCalibration:
             post_calls.append(len(model.design))
             return post(model, theta)
 
-        def no_posterior(model, theta):
-            raise AssertionError("engine.posterior called in run_calibration")
+        def optimizer_posterior(model, theta):
+            if not optimizing:
+                raise AssertionError("engine.posterior called outside optimize")
+            return engine_post(model, theta)
+
+        def flagged_optimize(*args, **kwargs):
+            optimizing.append(None)
+            try:
+                return optimize(*args, **kwargs)
+            finally:
+                optimizing.pop()
 
         monkeypatch.setattr(engine, "fit", counting_fit)
         monkeypatch.setattr(acquisition, "posterior", counting_post)
-        monkeypatch.setattr(engine, "posterior", no_posterior)
+        monkeypatch.setattr(engine, "posterior", optimizer_posterior)
+        monkeypatch.setattr(engine, "optimize", flagged_optimize)
         cfg = _config(budget=3)
         sim = make_model("rootless", RngStream(0).child(0).child(OBS_KEY),
                          {"eps": 0.5})

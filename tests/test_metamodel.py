@@ -471,6 +471,19 @@ class TestSurrogateBitIdentity:
     def test_outputs_match_recorded_bytes(self):
         assert surrogate_digest() == SURROGATE_ORACLE
 
+    def test_gradient_from_a_given_posterior_matches_bytes(self):
+        for model, theta in _surrogate_cases():
+            post = posterior(model, theta)
+            got_post, got = posterior_grad(model, theta, post)
+            want_post, want = posterior_grad(model, theta)
+            assert got_post is post
+            assert (np.array([post.mean, post.var]).tobytes()
+                    == np.array([want_post.mean, want_post.var]).tobytes())
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dmean.tobytes() == want.dmean.tobytes()
+                assert got.dstd.tobytes() == want.dstd.tobytes()
+
 
 # SHA-256 of the fit layer's results over `_fit_problems`: the public
 # log_marginal_likelihood at several lengthscales and jitters, the 50 grid

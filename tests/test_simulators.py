@@ -234,6 +234,11 @@ class TestRootlessQuadratic:
         with pytest.raises(ValueError):
             RootlessQuadratic(eps=0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_eps_naming_it(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            RootlessQuadratic(eps=eps)
+
 
 class TestMakeModel:
     def test_dispatch(self):

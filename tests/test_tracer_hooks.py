@@ -37,21 +37,24 @@ def test_install_and_restore_round_trip():
 
 
 def test_each_objective_call_crosses_every_layer(monkeypatch):
-    """Every acquisition objective call is one posterior_grad and one acq_value
-    span, and one acq_gradient span unless the point is degenerate, so a fused
-    call that hid a layer from the tracer would show here."""
+    """Every acquisition objective call is one posterior span, filed under the
+    objective, and one acq_value span; each gradient the optimizer asks for is
+    one posterior_grad and one acq_gradient span, never at a degenerate point.
+    A fused call that hid a layer from the tracer would show here."""
+    from dataclasses import replace
+
     from rootcal import AcqKind, Family, Mode, RngStream, engine, make_model
     from rootcal.engine import OBS_KEY, RunConfig, run_calibration
 
     # calibrations rarely meet a degenerate std, so every seventh call reports one
-    calls, posterior_grad = [], engine.posterior_grad
+    calls, posterior = [], engine.posterior
 
     def sometimes_degenerate(model, theta):
         calls.append(None)
-        post, grad = posterior_grad(model, theta)
-        return post, None if len(calls) % 7 == 0 else grad
+        post = posterior(model, theta)
+        return replace(post, var=0.0) if len(calls) % 7 == 0 else post
 
-    monkeypatch.setattr(engine, "posterior_grad", sometimes_degenerate)
+    monkeypatch.setattr(engine, "posterior", sometimes_degenerate)
     tracer = _load_tracer().Tracer()
     for stochastic, acq in ((True, AcqKind(Family.EI, Mode.ROOT)),
                             (False, AcqKind(Family.LCB, Mode.MIN))):
@@ -64,11 +67,13 @@ def test_each_objective_call_crosses_every_layer(monkeypatch):
         finally:
             tracer.restore()
     calls = tracer.totals()[0]
-    objective = calls["acqopt.objective"]
-    assert objective > 0 and tracer.counts["acqopt.degenerate"] > 0
-    assert calls["metamodel.posterior_grad"] == objective
+    objective, degenerate = calls["acqopt.objective"], tracer.counts["acqopt.degenerate"]
+    assert objective > 0 and degenerate > 0
+    assert tracer.counts["metamodel.posterior.objective"] == objective
     assert calls["acquisition.acq_value"] == objective
-    assert calls["acquisition.acq_gradient"] == objective - tracer.counts["acqopt.degenerate"]
+    gradients = calls["metamodel.posterior_grad"]
+    assert calls["acquisition.acq_gradient"] == gradients
+    assert 0 < gradients <= objective - degenerate
 
 
 def test_golden_section_evaluates_through_the_public_lml(monkeypatch):
