@@ -1,16 +1,19 @@
 """Multi-start box-constrained maximization/minimization of acquisition surfaces.
 
 A small projected limited-memory quasi-Newton loop with backtracking line
-search.  The objective callback returns (value, gradient): a zero-argument
-callable giving the gradient array, or None at a degenerate point (posterior
-std at the floor), which ends that local search at the limit-form value.
-A line-search trial needs only its value, so a gradient is asked for only
-at a start and at an accepted step that begins another iteration, once each.
+search, run from every start in lockstep: positions, gradients, the L-BFGS
+history, the stopping test and the line search are `(starts, dim)` array
+operations over the starts still searching, and each start makes the same
+decisions, to the bit, as it would searching alone.  The objective is still
+called once per start per point.  It returns (value, gradient): a
+zero-argument callable giving the gradient array, or None at a degenerate
+point (posterior std at the floor), which ends that start's search at the
+limit-form value.  A line-search trial needs only its value, so a gradient
+is asked for only at a start and at an accepted step that begins another
+iteration, once each.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,29 +34,31 @@ class OptimizationError(RuntimeError):
     """Every start produced a non-finite objective value."""
 
 
+def _rowdot(a, b):
+    """Each row's dot product, byte for byte what `a[i] @ b[i]` gives."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _lbfgs_direction(grad, hist):
-    """Two-loop recursion over (s, y, rho) pairs, oldest first, where rho is
-    1 / s'y or None for a pair without positive curvature (skipped); falls
-    back to steepest descent with empty memory."""
+    """Two-loop recursion for each row of `grad` over stacked (s, y, s'y)
+    pairs, oldest first; a row's pair without positive curvature (s'y <=
+    1e-12) is skipped, and empty memory gives steepest descent."""
     q = grad.copy()
+    pairs = [(s, y, sy <= 1e-12, 1.0 / np.where(sy <= 1e-12, 1.0, sy))
+             for s, y, sy in hist]
     alphas = []
-    for s, y, rho in reversed(hist):
-        if rho is None:
-            alphas.append(0.0)
-            continue
-        a = rho * float(s @ q)
-        q -= a * y
+    for s, y, skip, rho in reversed(pairs):
+        a = rho * _rowdot(s, q)
+        q = np.where(skip[:, None], q, q - a[:, None] * y)
         alphas.append(a)
     if hist:
-        s, y, _ = hist[-1]
-        yy = float(y @ y)
-        gamma = float(s @ y) / yy if yy > 1e-12 else 1.0
-        q *= max(gamma, 1e-12)
-    for (s, y, rho), a in zip(hist, reversed(alphas)):
-        if rho is None:
-            continue
-        b = rho * float(y @ q)
-        q += (a - b) * s
+        s, y, sy = hist[-1]
+        yy = _rowdot(y, y)
+        gamma = np.where(yy > 1e-12, sy / np.where(yy > 1e-12, yy, 1.0), 1.0)
+        q = q * np.maximum(gamma, 1e-12)[:, None]
+    for (s, y, skip, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * _rowdot(y, q)
+        q = np.where(skip[:, None], q, q + (a - b)[:, None] * s)
     return -q
 
 
@@ -62,40 +67,52 @@ def _project(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def _local_search(f, x0, lower, upper):
-    x = _project(x0, lower, upper)
-    val, gradient = f(x)
-    if not np.isfinite(val):
-        return x, val
-    hist, grad = [], None
+def _local_searches(f, x0, lower, upper):
+    """A local search from each row of `x0`, all advanced together; returns
+    each start's final iterate and value, row for row.  A start leaves the
+    lockstep when its value is not finite, its gradient is None, its
+    projected gradient vanishes or its line search fails."""
+    starts = _project(x0, lower, upper)
+    x, val = starts.copy(), np.empty(len(starts))
+    gradients = []  # per start, the gradient callable at x, or None once it has left
+    for i, row in enumerate(starts):
+        val[i], gradient = f(row)
+        gradients.append(gradient if np.isfinite(val[i]) else None)
+    live, hist, grad = np.arange(len(starts)), [], None
     for _ in range(ITERS):
-        if gradient is None:
+        stay = np.array([gradients[i] is not None for i in live], dtype=bool)
+        live = live[stay]
+        if not live.size:
             break
-        # the gradient at x, asked for only now that the search steps from x
-        grad, grad_prev = gradient(), grad
+        if grad is not None:
+            grad, x_prev = grad[stay], x_prev[stay]
+            hist = [(s[stay], y[stay], sy[stay]) for s, y, sy in hist]
+        # the gradients at x, asked for only now that the searches step from x
+        grad, grad_prev = np.array([gradients[i]() for i in live], dtype=float), grad
+        xs = x[live]
         if grad_prev is not None:
-            s, y = x - x_prev, grad - grad_prev
-            sy = float(s @ y)
-            hist.append((s, y, None if sy <= 1e-12 else 1.0 / sy))
-            if len(hist) > MEMORY:
-                hist.pop(0)
-        proj_grad = _project(x - grad, lower, upper) - x
-        if math.sqrt(float(proj_grad @ proj_grad)) < CONVERGENCE_TOL:
-            break
+            s, y = xs - x_prev, grad - grad_prev
+            hist = (hist + [(s, y, _rowdot(s, y))])[-MEMORY:]
+        proj_grad = _project(xs - grad, lower, upper) - xs
+        pending = ~(np.sqrt(_rowdot(proj_grad, proj_grad)) < CONVERGENCE_TOL)
         d = _lbfgs_direction(grad, hist)
-        if float(d @ grad) >= 0:
-            d = -grad
+        d = np.where((_rowdot(d, grad) >= 0)[:, None], -grad, d)
+        moved = np.zeros(len(live), dtype=bool)
         step = INITIAL_STEP
-        while step > 1e-12:
-            x_new = _project(x + step * d, lower, upper)
-            val_new, gradient = f(x_new)
-            decrease = SUFFICIENT_DECREASE * float(grad @ (x_new - x))
-            if np.isfinite(val_new) and val_new <= val + decrease:
-                break
+        while step > 1e-12 and pending.any():
+            rows = np.flatnonzero(pending)
+            trial = _project(xs[rows] + step * d[rows], lower, upper)
+            val_new = np.empty(len(rows))
+            for k, r in enumerate(rows):
+                val_new[k], gradients[live[r]] = f(trial[k])
+            decrease = SUFFICIENT_DECREASE * _rowdot(grad[rows], trial - xs[rows])
+            ok = np.isfinite(val_new) & (val_new <= val[live[rows]] + decrease)
+            x[live[rows[ok]]], val[live[rows[ok]]] = trial[ok], val_new[ok]
+            moved[rows[ok]], pending[rows[ok]] = True, False
             step *= SHRINK
-        else:
-            break
-        x_prev, x, val = x, x_new, val_new
+        for i in live[~moved]:  # converged, or no acceptable step: ends where it is
+            gradients[i] = None
+        x_prev = xs
     return x, val
 
 
@@ -105,10 +122,11 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
     and the objective's value there.
 
     `objective(theta) -> (value, gradient_or_None)`, where `gradient()`
-    gives a float array, which a minimization uses as it is.  Both the value
-    at each start and at each line-search trial count toward the reduction,
-    so the result never scores worse than any start point.  The returned value is the one the
-    objective gave at the returned point.
+    gives a float array, which a minimization uses as it is.  Only each
+    start's final iterate counts toward the reduction; a search accepts only
+    steps that do not raise its value, so the result never scores worse than
+    any start point.  The returned value is the one the objective gave at
+    the returned point.
     """
     gen = rng.generator()
     sign = -1.0 if maximize else 1.0
@@ -119,10 +137,10 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
             return sign * val, None
         return sign * val, lambda: sign * np.asarray(gradient(), dtype=float)
 
+    x0 = box.lower + gen.random((STARTS, box.dim)) * box.width
+    xs, vals = _local_searches(f if maximize else objective, x0, box.lower, box.upper)
     best_x, best_val = None, np.inf
-    for _ in range(STARTS):
-        x0 = box.lower + gen.random(box.dim) * box.width
-        x, val = _local_search(f if maximize else objective, x0, box.lower, box.upper)
+    for x, val in zip(xs, vals):
         if np.isfinite(val) and (
             val < best_val
             or (val == best_val and best_x is not None and tuple(x) < tuple(best_x))
@@ -130,4 +148,4 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
             best_x, best_val = x, val
     if best_x is None:
         raise OptimizationError("all starts returned non-finite objective values")
-    return best_x, sign * best_val
+    return best_x, sign * float(best_val)
