@@ -96,7 +96,10 @@ def _local_searches(f, x0, lower, upper):
         proj_grad = _project(xs - grad, lower, upper) - xs
         pending = ~(np.sqrt(_rowdot(proj_grad, proj_grad)) < CONVERGENCE_TOL)
         d = _lbfgs_direction(grad, hist)
-        d = np.where((_rowdot(d, grad) >= 0)[:, None], -grad, d)
+        # descent is judged on the part of d that projection keeps: none of a
+        # component at a bound that points out of the box
+        kept = np.where(((xs <= lower) & (d < 0)) | ((xs >= upper) & (d > 0)), 0.0, d)
+        d = np.where((_rowdot(kept, grad) >= 0)[:, None], -grad, d)
         moved = np.zeros(len(live), dtype=bool)
         step = INITIAL_STEP
         while step > 1e-12 and pending.any():

@@ -266,9 +266,9 @@ def _optimizer_results():
 
 
 # SHA-256 of optimize's (x, value) bytes over `_surfaces` and
-# `_curvature_surfaces`, recorded after the PI and EI gradients became their
-# two partials in the posterior mean and std.
-OPTIMIZER_ORACLE = "37ab0a32b26bc6f8c1615e8d078b2d8b74aeadc6e7c3544b803aed6d2082f0c3"
+# `_curvature_surfaces`, recorded after the descent test began to ignore the
+# part of the L-BFGS direction that projection removes at a box face.
+OPTIMIZER_ORACLE = "7642818af811621faa431e13aeccf54069bef959f401d515bc530c5250ae8b82"
 
 
 def optimizer_digest() -> str:
@@ -350,10 +350,12 @@ class TestLbfgs:
         assert skipped > 100
 
 
-def _local_search_reference(f, x0, lower, upper):
+def _local_search_reference(f, x0, lower, upper, face_test=True):
     """One start's projected L-BFGS search on its own: the per-start loop the
     lockstep `_local_searches` must match byte for byte, with the scalar
-    two-loop recursion `_two_loop_reference`."""
+    two-loop recursion `_two_loop_reference`.  `face_test=False` gives the
+    old descent test, which also counted the part of d that projection
+    removes at a box face."""
     x = _project(x0, lower, upper)
     val, gradient = f(x)
     if not np.isfinite(val):
@@ -370,7 +372,10 @@ def _local_search_reference(f, x0, lower, upper):
         if math.sqrt(float(proj_grad @ proj_grad)) < acqopt.CONVERGENCE_TOL:
             break
         d = _two_loop_reference(grad, s_hist, y_hist)
-        if float(d @ grad) >= 0:
+        kept = d
+        if face_test:
+            kept = np.where(((x <= lower) & (d < 0)) | ((x >= upper) & (d > 0)), 0.0, d)
+        if float(kept @ grad) >= 0:
             d = -grad
         step = acqopt.INITIAL_STEP
         while step > 1e-12:
@@ -517,7 +522,6 @@ class TestLockstep:
             (box, f, RngStream(seed), maximize)
             for seed, (box, f, maximize) in enumerate(surfaces))
 
-    @pytest.mark.slow
     def test_matches_reference_on_himmelblau_surfaces(self, himmelblau_surfaces):
         self._assert_matches_reference(himmelblau_surfaces)
 
@@ -538,6 +542,35 @@ class TestLockstep:
                 if kind == "value" and point not in starts
                 and _mark(np.frombuffer(point)) % 7 == 0)
         assert min(counts.values()) > 0, counts
+
+    def test_face_test_beats_the_old_descent_test(self, himmelblau_surfaces):
+        """On the 80 himmelblau2d surfaces, judging descent only on the part
+        of d that projection keeps, against the old test on all of d: at
+        least 25% fewer objective calls, no optimum worse by more than 1e-12
+        relative, and at least as many optima better as worse.  These
+        bounds were fixed before the corpus was first run."""
+        calls = collections.Counter()
+
+        def counted(objective, key):
+            def f(theta):
+                calls[key] += 1
+                return objective(theta)
+            return f
+
+        better = worse = 0
+        for box, objective, rng, maximize in himmelblau_surfaces:
+            sign = -1.0 if maximize else 1.0
+            _, value = optimize(counted(objective, "face"), box, rng, maximize=maximize)
+            x0 = box.lower + rng.generator().random((acqopt.STARTS, box.dim)) * box.width
+            f = counted(_signed(objective, maximize), "old")
+            _, old = _best([_local_search_reference(f, row, box.lower, box.upper, False)
+                            for row in x0], maximize)
+            new, old = sign * value, sign * old  # in the minimization's sign
+            worse += new > old
+            better += new < old
+            assert new - old <= 1e-12 * abs(old), (new, old)
+        assert calls["face"] <= 0.75 * calls["old"], calls
+        assert better >= worse, (better, worse)
 
 
 if __name__ == "__main__":
