@@ -1,19 +1,25 @@
 """Multi-start box-constrained maximization/minimization of acquisition surfaces.
 
 A small projected limited-memory quasi-Newton loop with backtracking line
-search, run from every start in lockstep: positions, gradients, the L-BFGS
-history, the stopping test and the line search are `(starts, dim)` array
-operations over the starts still searching, and each start makes the same
-decisions, to the bit, as it would searching alone.  The objective is still
-called once per start per point.  It returns (value, gradient): a
-zero-argument callable giving the gradient array, or None at a degenerate
-point (posterior std at the floor), which ends that start's search at the
-limit-form value.  A line-search trial needs only its value, so a gradient
-is asked for only at a start and at an accepted step that begins another
-iteration, once each.
+search, run from all starts in lockstep: positions, gradients, the L-BFGS
+history, the stopping test, the direction and the line-search trials are
+array operations over the starts, and each start makes the decisions, to
+the bit, that it would make searching alone.  Descent is judged on the part
+of the direction that projection keeps, as projected quasi-Newton methods
+require (Bertsekas 1982; Byrd, Lu, Nocedal and Zhu 1995); where that part
+does not descend, the step is steepest descent.
+
+The objective is called once per start per point.  It returns (value,
+gradient): a zero-argument callable giving the gradient array, or None at a
+degenerate point (posterior std at the floor), which ends that start's
+search at the limit-form value.  A line-search trial needs only its value,
+so a gradient is asked for only at a start and at an accepted step that
+begins another iteration, once each.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,8 +27,8 @@ from .core import ParameterBox, RngStream
 
 __all__ = ["OptimizationError", "optimize"]
 
-INITIAL_STEP = 1.0
-SHRINK = 0.5  # line-search step factor
+STEPS = 0.5 ** np.arange(40)  # backtracking steps: 1 and each halving above 1e-12
+BLOCK = 8  # backtracking trials made at once; most searches accept the first
 SUFFICIENT_DECREASE = 1e-4  # Armijo constant
 CONVERGENCE_TOL = 1e-8  # on the projected gradient norm
 MEMORY = 5  # L-BFGS history length
@@ -35,31 +41,44 @@ class OptimizationError(RuntimeError):
 
 
 def _rowdot(a, b):
-    """Each row's dot product, byte for byte what `a[i] @ b[i]` gives."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    """Each row's dot product over the last axis, broadcast over the others,
+    byte for byte what `a[i] @ b[i]` gives."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _lbfgs_direction(grad, hist):
-    """Two-loop recursion for each row of `grad` over stacked (s, y, s'y)
-    pairs, oldest first; a row's pair without positive curvature (s'y <=
-    1e-12) is skipped, and empty memory gives steepest descent."""
-    q = grad.copy()
-    pairs = [(s, y, sy <= 1e-12, 1.0 / np.where(sy <= 1e-12, 1.0, sy))
-             for s, y, sy in hist]
+def _pair(s, y, live):
+    """The L-BFGS pair (s, y) of every row, with the views and 1 / s'y that
+    `_lbfgs_direction` takes, the `live` rows that skip it for want of
+    positive curvature (s'y <= 1e-12), and the scaling it sets as newest."""
+    sy, yy = _rowdot(s, y), _rowdot(y, y)
+    skip = sy <= 1e-12
+    rho = np.divide(1.0, sy, out=np.ones_like(sy), where=~skip)
+    gamma = np.divide(sy, yy, out=np.ones_like(sy), where=yy > 1e-12)
+    pair = (s[:, None, :], s[:, :, None], y[:, None, :], y[:, :, None], rho[:, None, None],
+            (skip & live)[:, None, None])
+    return pair, np.maximum(gamma, 1e-12)[:, None, None]
+
+
+def _lbfgs_direction(grad, pairs, gamma):
+    """Two-loop recursion for each row of `grad`, as (rows, dim, 1) columns
+    so that each row dot product is `_rowdot`'s stacked matmul, over
+    `pairs`, oldest first, with the newest pair's scaling `gamma`.  A row
+    that skips a pair keeps its q through it; no pairs give steepest descent."""
+    q = grad[:, :, None]
     alphas = []
-    for s, y, skip, rho in reversed(pairs):
-        a = rho * _rowdot(s, q)
-        q = np.where(skip[:, None], q, q - a[:, None] * y)
+    for s_row, _, _, y_col, rho, held in reversed(pairs):
+        a = rho * np.matmul(s_row, q)
+        q_next = a * y_col
+        np.copyto(np.subtract(q, q_next, out=q_next), q, where=held)
+        q = q_next
         alphas.append(a)
-    if hist:
-        s, y, sy = hist[-1]
-        yy = _rowdot(y, y)
-        gamma = np.where(yy > 1e-12, sy / np.where(yy > 1e-12, yy, 1.0), 1.0)
-        q = q * np.maximum(gamma, 1e-12)[:, None]
-    for (s, y, skip, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * _rowdot(y, q)
-        q = np.where(skip[:, None], q, q + (a - b)[:, None] * s)
-    return -q
+    if pairs:
+        q = q * gamma
+    for (_, s_col, y_row, _, rho, held), a in zip(pairs, reversed(alphas)):
+        q_next = (a - rho * np.matmul(y_row, q)) * s_col
+        np.copyto(np.add(q, q_next, out=q_next), q, where=held)
+        q = q_next
+    return -q[:, :, 0]
 
 
 def _project(x, lower, upper):
@@ -68,54 +87,53 @@ def _project(x, lower, upper):
 
 
 def _local_searches(f, x0, lower, upper):
-    """A local search from each row of `x0`, all advanced together; returns
-    each start's final iterate and value, row for row.  A start leaves the
-    lockstep when its value is not finite, its gradient is None, its
-    projected gradient vanishes or its line search fails."""
+    """A local search from each row of `x0`, all advanced together: each
+    start's final iterate and value, row for row.  A start leaves when its
+    value is not finite, its gradient is None, its projected gradient
+    vanishes or its line search fails; its row stays in the arrays, with a
+    zero gradient, but nothing reads it."""
     starts = _project(x0, lower, upper)
     x, val = starts.copy(), np.empty(len(starts))
     gradients = []  # per start, the gradient callable at x, or None once it has left
     for i, row in enumerate(starts):
         val[i], gradient = f(row)
         gradients.append(gradient if np.isfinite(val[i]) else None)
-    live, hist, grad = np.arange(len(starts)), [], None
-    for _ in range(ITERS):
-        stay = np.array([gradients[i] is not None for i in live], dtype=bool)
-        live = live[stay]
+    grad, pairs, gamma = np.zeros_like(x), [], None
+    for iteration in range(ITERS):
+        alive = np.array([gradient is not None for gradient in gradients])
+        live = alive.nonzero()[0]
         if not live.size:
             break
-        if grad is not None:
-            grad, x_prev = grad[stay], x_prev[stay]
-            hist = [(s[stay], y[stay], sy[stay]) for s, y, sy in hist]
         # the gradients at x, asked for only now that the searches step from x
-        grad, grad_prev = np.array([gradients[i]() for i in live], dtype=float), grad
-        xs = x[live]
-        if grad_prev is not None:
-            s, y = xs - x_prev, grad - grad_prev
-            hist = (hist + [(s, y, _rowdot(s, y))])[-MEMORY:]
-        proj_grad = _project(xs - grad, lower, upper) - xs
-        pending = ~(np.sqrt(_rowdot(proj_grad, proj_grad)) < CONVERGENCE_TOL)
-        d = _lbfgs_direction(grad, hist)
+        grad, grad_prev = np.zeros_like(x), grad
+        grad[live] = [gradients[i]() for i in live]
+        if iteration:
+            pair, gamma = _pair(x - x_prev, grad - grad_prev, alive)
+            pairs = (pairs + [pair])[-MEMORY:]
+        proj_grad = _project(x - grad, lower, upper) - x
+        converged = (np.sqrt(_rowdot(proj_grad, proj_grad)) < CONVERGENCE_TOL).tolist()
+        d = _lbfgs_direction(grad, pairs, gamma)
         # descent is judged on the part of d that projection keeps: none of a
         # component at a bound that points out of the box
-        kept = np.where(((xs <= lower) & (d < 0)) | ((xs >= upper) & (d > 0)), 0.0, d)
-        d = np.where((_rowdot(kept, grad) >= 0)[:, None], -grad, d)
-        moved = np.zeros(len(live), dtype=bool)
-        step = INITIAL_STEP
-        while step > 1e-12 and pending.any():
-            rows = np.flatnonzero(pending)
-            trial = _project(xs[rows] + step * d[rows], lower, upper)
-            val_new = np.empty(len(rows))
-            for k, r in enumerate(rows):
-                val_new[k], gradients[live[r]] = f(trial[k])
-            decrease = SUFFICIENT_DECREASE * _rowdot(grad[rows], trial - xs[rows])
-            ok = np.isfinite(val_new) & (val_new <= val[live[rows]] + decrease)
-            x[live[rows[ok]]], val[live[rows[ok]]] = trial[ok], val_new[ok]
-            moved[rows[ok]], pending[rows[ok]] = True, False
-            step *= SHRINK
-        for i in live[~moved]:  # converged, or no acceptable step: ends where it is
-            gradients[i] = None
-        x_prev = xs
+        kept = d.copy()
+        np.copyto(kept, 0.0, where=((x <= lower) & (d < 0)) | ((x >= upper) & (d > 0)))
+        np.copyto(d, -grad, where=(_rowdot(kept, grad) >= 0)[:, None])
+        # backtracking trials (steps, starts, dim) and their Armijo bounds, made
+        # for all starts a block of steps at a time when a search first needs it
+        x_prev, val_prev, blocks = x.copy(), val.copy(), []
+        for i in live:
+            gradients[i] = None  # unless a step is accepted, the search ends here
+            for k in range(0 if converged[i] else len(STEPS)):
+                block, j = divmod(k, BLOCK)
+                if block == len(blocks):
+                    trials = _project(x_prev + STEPS[k:k + BLOCK, None, None] * d, lower, upper)
+                    bounds = val_prev + SUFFICIENT_DECREASE * _rowdot(grad, trials - x_prev)
+                    blocks.append((trials, bounds.T.tolist()))
+                trials, bounds = blocks[block]
+                val_new, gradient = f(trials[j, i])
+                if math.isfinite(val_new) and val_new <= bounds[i][j]:
+                    x[i], val[i], gradients[i] = trials[j, i], val_new, gradient
+                    break
     return x, val
 
 
@@ -126,10 +144,10 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
 
     `objective(theta) -> (value, gradient_or_None)`, where `gradient()`
     gives a float array, which a minimization uses as it is.  Only each
-    start's final iterate counts toward the reduction; a search accepts only
-    steps that do not raise its value, so the result never scores worse than
-    any start point.  The returned value is the one the objective gave at
-    the returned point.
+    start's final iterate counts toward the reduction, not the line-search
+    trials it rejected.  Each accepted step meets the Armijo condition
+    `value <= value_at_x + SUFFICIENT_DECREASE * grad'(step)`.  The returned
+    value is the one the objective gave at the returned point.
     """
     gen = rng.generator()
     sign = -1.0 if maximize else 1.0

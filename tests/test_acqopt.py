@@ -313,13 +313,13 @@ class TestLbfgs:
         assert optimizer_digest() == OPTIMIZER_ORACLE
 
     def test_curvature_surfaces_skip_pairs(self, monkeypatch):
-        seen = []
+        seen, pair = [], acqopt._pair
 
-        def recording(grad, hist):
-            seen.extend(skipped for _, _, sy in hist for skipped in sy <= 1e-12)
-            return _lbfgs_direction(grad, hist)
+        def recording(s, y, live):
+            seen.extend(_rowdot(s, y)[live] <= 1e-12)
+            return pair(s, y, live)
 
-        monkeypatch.setattr(acqopt, "_lbfgs_direction", recording)
+        monkeypatch.setattr(acqopt, "_pair", recording)
         for seed, (box, f, maximize) in enumerate(_curvature_surfaces()):
             optimize(f, box, RngStream(seed), maximize=maximize)
         assert any(seen)
@@ -332,20 +332,18 @@ class TestLbfgs:
         skipped = 0
         for _ in range(200):
             dim, pairs, rows = (int(k) for k in rng.integers((1, 0, 1), (5, 6, 8)))
-            s_hist = [rng.normal(size=(rows, dim)) for _ in range(pairs)]
-            y_hist = []
-            for s in s_hist:
-                kind = rng.random((rows, 1))
-                y = s * rng.uniform(0.1, 3.0, (rows, dim)) + 0.1 * rng.normal(size=(rows, dim))
-                y = np.where(kind < 0.25, -rng.uniform(0.1, 2.0, (rows, 1)) * s, y)  # negative curvature
-                y_hist.append(np.where((kind >= 0.25) & (kind < 0.35), 0.0, y))  # a flat step
-            hist = [(s, y, _rowdot(s, y)) for s, y in zip(s_hist, y_hist)]
-            skipped += sum(int(np.sum(sy <= 1e-12)) for _, _, sy in hist)
+            s = rng.normal(size=(pairs, rows, dim))
+            kind = rng.random((pairs, rows, 1))
+            y = s * rng.uniform(0.1, 3.0, s.shape) + 0.1 * rng.normal(size=s.shape)
+            # a quarter of the pairs with negative curvature, a tenth flat
+            y = np.where(kind < 0.25, -rng.uniform(0.1, 2.0, kind.shape) * s, y)
+            y = np.where((kind >= 0.25) & (kind < 0.35), 0.0, y)
+            skipped += int(np.sum(_rowdot(s, y) <= 1e-12))
+            made = [acqopt._pair(s[j], y[j], np.ones(rows, dtype=bool)) for j in range(pairs)]
             grad = rng.normal(size=(rows, dim))
-            got = _lbfgs_direction(grad, hist)
+            got = _lbfgs_direction(grad, [p for p, _ in made], made[-1][1] if made else None)
             for i in range(rows):
-                want = _two_loop_reference(grad[i], [s[i] for s in s_hist],
-                                           [y[i] for y in y_hist])
+                want = _two_loop_reference(grad[i], list(s[:, i]), list(y[:, i]))
                 assert got[i].tobytes() == want.tobytes()
         assert skipped > 100
 
@@ -377,14 +375,14 @@ def _local_search_reference(f, x0, lower, upper, face_test=True):
             kept = np.where(((x <= lower) & (d < 0)) | ((x >= upper) & (d > 0)), 0.0, d)
         if float(kept @ grad) >= 0:
             d = -grad
-        step = acqopt.INITIAL_STEP
+        step = 1.0
         while step > 1e-12:
             x_new = _project(x + step * d, lower, upper)
             val_new, gradient = f(x_new)
             decrease = acqopt.SUFFICIENT_DECREASE * float(grad @ (x_new - x))
             if np.isfinite(val_new) and val_new <= val + decrease:
                 break
-            step *= acqopt.SHRINK
+            step *= 0.5
         else:
             break
         x_prev, x, val = x, x_new, val_new
@@ -492,20 +490,27 @@ class TestLockstep:
     """The lockstep loop makes each start's decisions as if it searched alone."""
 
     def test_rowdot_is_per_row_matmul_bytes(self):
+        """Also with `a` broadcast over a leading axis of `b`, as the line
+        search takes the decrease of every trial at once."""
         rng = np.random.default_rng(15)
         specials = np.array([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150, 1.0, -1.0])
+
+        def rows_of(shape):
+            return np.where(rng.random(shape) < 0.2, rng.choice(specials, shape),
+                            rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape))
+
         for dim in (1, 2, 3, 5):
             for _ in range(300):
-                rows = int(rng.integers(1, 13))
-                a, b = (np.where(rng.random((rows, dim)) < 0.2,
-                                 rng.choice(specials, (rows, dim)),
-                                 rng.normal(size=(rows, dim))
-                                 * 10.0 ** rng.integers(-8, 9, (rows, dim)))
-                        for _ in range(2))
-                got = _rowdot(a, b)
+                lead, rows = (int(k) for k in rng.integers(1, (4, 13)))
+                a, b = rows_of((rows, dim)), rows_of((lead, rows, dim))
+                got, got_stacked = _rowdot(a, b[0]), _rowdot(a, b)
                 assert got.dtype == np.float64 and got.shape == (rows,)
+                assert got_stacked.shape == (lead, rows)
                 for i in range(rows):
-                    assert got[i].tobytes() == np.float64(a[i] @ b[i]).tobytes()
+                    assert got[i].tobytes() == np.float64(a[i] @ b[0, i]).tobytes()
+                    for j in range(lead):
+                        want = np.float64(a[i] @ b[j, i]).tobytes()
+                        assert got_stacked[j, i].tobytes() == want
 
     def _assert_matches_reference(self, surfaces):
         for box, objective, rng, maximize in surfaces:
