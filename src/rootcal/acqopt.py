@@ -28,7 +28,7 @@ from .core import ParameterBox, RngStream
 __all__ = ["OptimizationError", "optimize"]
 
 STEPS = 0.5 ** np.arange(40)  # backtracking steps: 1 and each halving above 1e-12
-BLOCK = 8  # backtracking trials made at once; most searches accept the first
+BLOCK = 8  # backtracking steps tried per round
 SUFFICIENT_DECREASE = 1e-4  # Armijo constant
 CONVERGENCE_TOL = 1e-8  # on the projected gradient norm
 MEMORY = 5  # L-BFGS history length
@@ -47,38 +47,31 @@ def _rowdot(a, b):
 
 
 def _pair(s, y, live):
-    """The L-BFGS pair (s, y) of every row, with the views and 1 / s'y that
-    `_lbfgs_direction` takes, the `live` rows that skip it for want of
-    positive curvature (s'y <= 1e-12), and the scaling it sets as newest."""
+    """The L-BFGS pair (s, y) of every row with 1 / s'y, the `live` rows that
+    skip it for want of positive curvature (s'y <= 1e-12), and the scaling
+    it sets as newest."""
     sy, yy = _rowdot(s, y), _rowdot(y, y)
     skip = sy <= 1e-12
     rho = np.divide(1.0, sy, out=np.ones_like(sy), where=~skip)
     gamma = np.divide(sy, yy, out=np.ones_like(sy), where=yy > 1e-12)
-    pair = (s[:, None, :], s[:, :, None], y[:, None, :], y[:, :, None], rho[:, None, None],
-            (skip & live)[:, None, None])
-    return pair, np.maximum(gamma, 1e-12)[:, None, None]
+    return (s, y, rho[:, None], (skip & live)[:, None]), np.maximum(gamma, 1e-12)[:, None]
 
 
 def _lbfgs_direction(grad, pairs, gamma):
-    """Two-loop recursion for each row of `grad`, as (rows, dim, 1) columns
-    so that each row dot product is `_rowdot`'s stacked matmul, over
-    `pairs`, oldest first, with the newest pair's scaling `gamma`.  A row
-    that skips a pair keeps its q through it; no pairs give steepest descent."""
-    q = grad[:, :, None]
+    """Two-loop recursion for each row of `grad` over `pairs`, oldest first,
+    with the newest pair's scaling `gamma`.  A row that skips a pair keeps
+    its q through it; no pairs give steepest descent."""
+    q = grad
     alphas = []
-    for s_row, _, _, y_col, rho, held in reversed(pairs):
-        a = rho * np.matmul(s_row, q)
-        q_next = a * y_col
-        np.copyto(np.subtract(q, q_next, out=q_next), q, where=held)
-        q = q_next
+    for s, y, rho, held in reversed(pairs):
+        a = rho * _rowdot(s, q)[:, None]
+        q = np.where(held, q, q - a * y)
         alphas.append(a)
     if pairs:
         q = q * gamma
-    for (_, s_col, y_row, _, rho, held), a in zip(pairs, reversed(alphas)):
-        q_next = (a - rho * np.matmul(y_row, q)) * s_col
-        np.copyto(np.add(q, q_next, out=q_next), q, where=held)
-        q = q_next
-    return -q[:, :, 0]
+    for (s, y, rho, held), a in zip(pairs, reversed(alphas)):
+        q = np.where(held, q, q + (a - rho * _rowdot(y, q)[:, None]) * s)
+    return -q
 
 
 def _project(x, lower, upper):
@@ -111,29 +104,29 @@ def _local_searches(f, x0, lower, upper):
             pair, gamma = _pair(x - x_prev, grad - grad_prev, alive)
             pairs = (pairs + [pair])[-MEMORY:]
         proj_grad = _project(x - grad, lower, upper) - x
-        converged = (np.sqrt(_rowdot(proj_grad, proj_grad)) < CONVERGENCE_TOL).tolist()
+        converged = np.sqrt(_rowdot(proj_grad, proj_grad)) < CONVERGENCE_TOL
         d = _lbfgs_direction(grad, pairs, gamma)
         # descent is judged on the part of d that projection keeps: none of a
         # component at a bound that points out of the box
-        kept = d.copy()
-        np.copyto(kept, 0.0, where=((x <= lower) & (d < 0)) | ((x >= upper) & (d > 0)))
+        kept = np.where(((x <= lower) & (d < 0)) | ((x >= upper) & (d > 0)), 0.0, d)
         np.copyto(d, -grad, where=(_rowdot(kept, grad) >= 0)[:, None])
-        # backtracking trials (steps, starts, dim) and their Armijo bounds, made
-        # for all starts a block of steps at a time when a search first needs it
-        x_prev, val_prev, blocks = x.copy(), val.copy(), []
+        # backtracking: each round makes the next BLOCK trials and their Armijo
+        # bounds for every start at once, and the starts still searching try them
+        x_prev, val_prev, searching = x.copy(), val.copy(), alive & ~converged
         for i in live:
             gradients[i] = None  # unless a step is accepted, the search ends here
-            for k in range(0 if converged[i] else len(STEPS)):
-                block, j = divmod(k, BLOCK)
-                if block == len(blocks):
-                    trials = _project(x_prev + STEPS[k:k + BLOCK, None, None] * d, lower, upper)
-                    bounds = val_prev + SUFFICIENT_DECREASE * _rowdot(grad, trials - x_prev)
-                    blocks.append((trials, bounds.T.tolist()))
-                trials, bounds = blocks[block]
-                val_new, gradient = f(trials[j, i])
-                if math.isfinite(val_new) and val_new <= bounds[i][j]:
-                    x[i], val[i], gradients[i] = trials[j, i], val_new, gradient
-                    break
+        for k in range(0, len(STEPS), BLOCK):
+            searchers = searching.nonzero()[0]
+            if not searchers.size:
+                break
+            trials = _project(x_prev + STEPS[k:k + BLOCK, None, None] * d, lower, upper)
+            bounds = (val_prev + SUFFICIENT_DECREASE * _rowdot(grad, trials - x_prev)).T.tolist()
+            for i in searchers:
+                for trial, bound in zip(trials[:, i], bounds[i]):
+                    val_new, gradient = f(trial)
+                    if math.isfinite(val_new) and val_new <= bound:
+                        x[i], val[i], gradients[i], searching[i] = trial, val_new, gradient, False
+                        break
     return x, val
 
 
