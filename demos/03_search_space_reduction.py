@@ -3,7 +3,8 @@
 The deterministic reducer picks the smallest rectangle spanned by a pair
 of design points whose signed means disagree in sign; the stochastic
 reducer does the same with a posterior sign-change probability and
-weights the volume by the residual uncertainty.
+weights the volume by the residual uncertainty.  Both count each axis of a
+volume as at least ``rss.THETA_FLOOR`` (1e-8).
 """
 
 import numpy as np
@@ -33,7 +34,7 @@ def main():
     for theta, s in zip(design, signed):
         print(f"  ({theta[0]:.3f}, {theta[1]:.3f})  ->  {s:+.3f}")
 
-    sub = rss_deterministic(design, signed, theta_floor=1e-8)
+    sub = rss_deterministic(design, signed)
     print("\ndeterministic reduction:")
     print(f"  pair {sub.pair}, volume {sub.volume:.4f}")
     print(f"  box [{sub.lo[0]:.3f}, {sub.hi[0]:.3f}] x "
@@ -44,7 +45,7 @@ def main():
     noise = np.full(len(design), 0.01)
     model = fit(box, design, signed, noise)
     posts = [posterior(model, theta) for theta in design]
-    sub = rss_stochastic(design, posts, alpha=0.95, theta_floor=1e-8)
+    sub = rss_stochastic(design, posts, alpha=0.95)
     print("\nstochastic reduction (alpha = 0.95):")
     if sub is None:
         print("  no pair reaches the confidence threshold; keep the full box")

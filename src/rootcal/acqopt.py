@@ -79,17 +79,18 @@ def _project(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def _local_searches(f, x0, lower, upper):
-    """A local search from each row of `x0`, all advanced together: each
-    start's final iterate and value, row for row.  A start leaves when its
-    value is not finite, its gradient is None, its projected gradient
-    vanishes or its line search fails; its row stays in the arrays, with a
-    zero gradient, but nothing reads it."""
+def _local_searches(f, x0, lower, upper, sign=1.0):
+    """A local search from each row of `x0`, all advanced together, that
+    minimizes `sign` times `f`: each start's final iterate and signed value,
+    row for row.  A start leaves when its value is not finite, its gradient
+    is None, its projected gradient vanishes or its line search fails; its
+    row stays in the arrays, with a zero gradient, but nothing reads it."""
     starts = _project(x0, lower, upper)
     x, val = starts.copy(), np.empty(len(starts))
     gradients = []  # per start, the gradient callable at x, or None once it has left
     for i, row in enumerate(starts):
-        val[i], gradient = f(row)
+        value, gradient = f(row)
+        val[i] = sign * value
         gradients.append(gradient if np.isfinite(val[i]) else None)
     grad, pairs, gamma = np.zeros_like(x), [], None
     for iteration in range(ITERS):
@@ -100,6 +101,7 @@ def _local_searches(f, x0, lower, upper):
         # the gradients at x, asked for only now that the searches step from x
         grad, grad_prev = np.zeros_like(x), grad
         grad[live] = [gradients[i]() for i in live]
+        grad *= sign
         if iteration:
             pair, gamma = _pair(x - x_prev, grad - grad_prev, alive)
             pairs = (pairs + [pair])[-MEMORY:]
@@ -124,6 +126,7 @@ def _local_searches(f, x0, lower, upper):
             for i in searchers:
                 for trial, bound in zip(trials[:, i], bounds[i]):
                     val_new, gradient = f(trial)
+                    val_new *= sign
                     if math.isfinite(val_new) and val_new <= bound:
                         x[i], val[i], gradients[i], searching[i] = trial, val_new, gradient, False
                         break
@@ -136,23 +139,16 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
     and the objective's value there.
 
     `objective(theta) -> (value, gradient_or_None)`, where `gradient()`
-    gives a float array, which a minimization uses as it is.  Only each
-    start's final iterate counts toward the reduction, not the line-search
-    trials it rejected.  Each accepted step meets the Armijo condition
-    `value <= value_at_x + SUFFICIENT_DECREASE * grad'(step)`.  The returned
-    value is the one the objective gave at the returned point.
+    gives a float array; a maximization searches on both negated.  Only
+    each start's final iterate counts toward the reduction, not the
+    line-search trials it rejected.  Each accepted step meets the Armijo
+    condition `value <= value_at_x + SUFFICIENT_DECREASE * grad'(step)` in
+    the search's sign.  The returned value is the objective's own there.
     """
     gen = rng.generator()
     sign = -1.0 if maximize else 1.0
-
-    def f(x):
-        val, gradient = objective(x)
-        if gradient is None:
-            return sign * val, None
-        return sign * val, lambda: sign * np.asarray(gradient(), dtype=float)
-
     x0 = box.lower + gen.random((STARTS, box.dim)) * box.width
-    xs, vals = _local_searches(f if maximize else objective, x0, box.lower, box.upper)
+    xs, vals = _local_searches(objective, x0, box.lower, box.upper, sign)
     best_x, best_val = None, np.inf
     for x, val in zip(xs, vals):
         if np.isfinite(val) and (

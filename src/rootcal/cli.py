@@ -124,7 +124,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_non_finite)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     error = best_match(_config_validator().iter_errors(raw))
     if error is not None:  # the error jsonschema.validate would raise
@@ -178,8 +178,8 @@ def _trace_rows(trace, dim: int):
     return header, rows
 
 
-def cmd_run(config_path: str) -> int:
-    cfg = load_config(config_path)
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     if len(cfg["methods"]) != 1:
         raise ConfigError("run expects exactly one method")
     out = cfg["output"]
@@ -209,8 +209,8 @@ def cmd_run(config_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config_path: str) -> int:
-    cfg = load_config(config_path)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     if "macro_reps" not in cfg:
         raise ConfigError("sweep needs macro_reps")
     out = cfg["output"]
@@ -241,8 +241,8 @@ def cmd_sweep(config_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cases: int, seed: int) -> int:
-    report = validate_gradients(cases, RngStream(seed))
+def cmd_validate(args: argparse.Namespace) -> int:
+    report = validate_gradients(args.cases, RngStream(args.seed))
     status = EXIT_OK
     for name in sorted(report):
         dev = report[name]
@@ -252,36 +252,35 @@ def cmd_validate(cases: int, seed: int) -> int:
     return status
 
 
-def cmd_rootless(eps: float, design_sizes, seed: int, n_seeds: int,
-                 output: str) -> int:
-    if not 0 < eps < math.inf:
-        raise ConfigError(f"eps must be positive and finite, got {eps}")
-    sizes = sorted(set(int(s) for s in design_sizes))
+def cmd_rootless(args: argparse.Namespace) -> int:
+    if not 0 < args.eps < math.inf:
+        raise ConfigError(f"eps must be positive and finite, got {args.eps}")
+    sizes = sorted(set(args.design_sizes))
     if any(s < 2 for s in sizes):
         raise ConfigError("design sizes must be >= 2")
-    rows = rootless_table(eps, sizes, seed, n_seeds)
+    rows = rootless_table(args.eps, sizes, args.seed, args.n_seeds)
     _write_csv(
-        output,
+        args.output,
         ["design_size", "lcb_diff", "pi_diff", "ei_diff"],
         [[str(s), _fmt(a), _fmt(b), _fmt(c)] for s, a, b, c in rows],
     )
     return EXIT_OK
 
 
-def cmd_diagnose(problem: str, theta, reps: int, seed: int,
-                 problem_params: dict | None = None) -> int:
-    sim = observation_model(problem, problem_params, seed)
-    theta = np.asarray(theta, dtype=float)
+def cmd_diagnose(args: argparse.Namespace) -> int:
+    params = None if args.eps is None else {"eps": args.eps}
+    sim = observation_model(args.problem, params, args.seed)
+    theta = np.asarray(args.theta, dtype=float)
     if theta.size != sim.box.dim:
         raise ConfigError(f"theta must have {sim.box.dim} component(s)")
     if not sim.box.contains(theta):
         raise ConfigError("theta outside the parameter box")
-    samples = sim.draw(theta, RngStream(seed).child(1).generator(), reps)
+    samples = sim.draw(theta, RngStream(args.seed).child(1).generator(), args.reps)
     report = chain_check(samples)
     print(json.dumps({
-        "problem": problem,
+        "problem": args.problem,
         "theta": [float(v) for v in theta],
-        "reps": reps,
+        "reps": args.reps,
         "spatial_variability": report.spatial_variability,
         "aggregate_variance": report.aggregate_variance,
         "chain": list(report.chain),
@@ -305,6 +304,19 @@ def _int_at_least(low: int):
 _COUNT, _SEED = _int_at_least(1), _int_at_least(0)
 
 
+def _list_of(item, what: str):
+    """An argparse type: a non-empty comma-separated list of `item`s."""
+    def parse(text: str) -> list:
+        try:
+            values = [item(v) for v in text.split(",") if v]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"must be comma-separated {what}, got {text!r}")
+        return values
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     # argument errors are config errors (exit 1), not the argparse default 2
     def error(self, message):
@@ -317,29 +329,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one calibration run from a config file")
     p_run.add_argument("config")
+    p_run.set_defaults(handler=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="macro-replication sweep from a config file")
     p_sweep.add_argument("config")
+    p_sweep.set_defaults(handler=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="acquisition gradient validation")
     p_val.add_argument("--cases", type=_COUNT, default=100)
     p_val.add_argument("--seed", type=_SEED, default=0)
+    p_val.set_defaults(handler=cmd_validate)
 
     p_root = sub.add_parser("rootless", help="acquisition gaps without a root")
     p_root.add_argument("--eps", type=float, required=True)
-    p_root.add_argument("--design-sizes", default="5,9,13,17,21")
+    p_root.add_argument("--design-sizes", type=_list_of(int, "integers"), default="5,9,13,17,21")
     p_root.add_argument("--seed", type=_SEED, default=0)
     p_root.add_argument("--n-seeds", type=_COUNT, default=100)
     p_root.add_argument("--output", required=True)
+    p_root.set_defaults(handler=cmd_rootless)
 
     p_diag = sub.add_parser("diagnose", help="residual gap diagnostics at a point")
     p_diag.add_argument("--problem", required=True, choices=list(PROBLEMS))
-    p_diag.add_argument("--theta", required=True,
+    p_diag.add_argument("--theta", type=_list_of(float, "numbers"), required=True,
                         help="comma-separated parameter components")
     p_diag.add_argument("--reps", type=_COUNT, default=100)
     p_diag.add_argument("--seed", type=_SEED, default=0)
     p_diag.add_argument("--eps", type=float, default=None,
                         help="irreducible discrepancy for the rootless problem")
+    p_diag.set_defaults(handler=cmd_diagnose)
     return parser
 
 
@@ -350,27 +367,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
-        if args.command == "run":
-            return cmd_run(args.config)
-        if args.command == "sweep":
-            return cmd_sweep(args.config)
-        if args.command == "validate":
-            return cmd_validate(args.cases, args.seed)
-        if args.command == "rootless":
-            try:
-                sizes = [int(s) for s in args.design_sizes.split(",") if s]
-            except ValueError:
-                raise ConfigError("--design-sizes must be comma-separated integers")
-            return cmd_rootless(args.eps, sizes, args.seed, args.n_seeds,
-                                args.output)
-        if args.command == "diagnose":
-            try:
-                theta = [float(v) for v in args.theta.split(",") if v]
-            except ValueError:
-                raise ConfigError("--theta must be comma-separated numbers")
-            params = {"eps": args.eps} if args.eps is not None else None
-            return cmd_diagnose(args.problem, theta, args.reps, args.seed, params)
-        raise ConfigError(f"unknown command {args.command}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

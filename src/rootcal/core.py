@@ -12,6 +12,7 @@ __all__ = [
     "ObservationSummary",
     "aggregate_signed",
     "aggregate_squared",
+    "residual_rows",
     "summarize",
 ]
 
@@ -96,7 +97,6 @@ class ObservationSummary:
     squared_mean: float
     signed_noise_var: float
     squared_noise_var: float
-    reps: int
 
 
 def _residuals(sample) -> np.ndarray:
@@ -127,14 +127,19 @@ def _noise_var(values: np.ndarray) -> float:
     return float(np.sum((values - mean) ** 2) / (n * (n - 1)))
 
 
-def summarize(theta, samples) -> ObservationSummary:
-    """Summarize replicated residual samples, one row per replication."""
+def residual_rows(samples) -> np.ndarray:
+    """Residual samples as one ``(reps, m)`` array, one row per sample."""
     if len(samples) == 0:
         raise ValueError("at least one residual sample required")
     try:
-        samples = np.asarray(samples, dtype=float).reshape(len(samples), -1)
+        return np.asarray(samples, dtype=float).reshape(len(samples), -1)
     except ValueError:
         raise ValueError("residual samples disagree on output dimension") from None
+
+
+def summarize(theta, samples) -> ObservationSummary:
+    """Summarize replicated residual samples, one row per replication."""
+    samples = residual_rows(samples)
     signed = aggregate_signed(samples)
     squared = aggregate_squared(samples)
     return ObservationSummary(
@@ -143,5 +148,4 @@ def summarize(theta, samples) -> ObservationSummary:
         squared_mean=float(squared.mean()),
         signed_noise_var=_noise_var(signed),
         squared_noise_var=_noise_var(squared),
-        reps=len(samples),
     )

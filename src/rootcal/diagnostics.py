@@ -15,7 +15,7 @@ from .acquisition import (
     acq_gradient,
     acq_value,
 )
-from .core import ParameterBox, RngStream, aggregate_signed, aggregate_squared
+from .core import ParameterBox, RngStream, aggregate_signed, aggregate_squared, residual_rows
 from .metamodel import model_at, posterior, posterior_grad
 
 __all__ = [
@@ -51,28 +51,21 @@ class GapReport:
         return a >= b - 1e-10 and b >= c - 1e-10
 
 
-def _rows(samples) -> np.ndarray:
-    """Residual samples as one ``(reps, m)`` array, one row per sample."""
-    if len(samples) == 0:
-        raise ValueError("at least one residual sample required")
-    return np.asarray(samples, dtype=float).reshape(len(samples), -1)
-
-
 def spatial_variability(samples) -> float:
     """Mean over samples of the within-sample variance of residual components."""
-    return float(np.var(_rows(samples), axis=1).mean())
+    return float(np.var(residual_rows(samples), axis=1).mean())
 
 
 def aggregate_variance(samples) -> float:
     """Unbiased sample variance of the signed aggregate across samples."""
     if len(samples) < 2:
         raise ValueError("at least two residual samples required")
-    return float(aggregate_signed(_rows(samples)).var(ddof=1))
+    return float(aggregate_signed(residual_rows(samples)).var(ddof=1))
 
 
 def chain_check(samples) -> GapReport:
     """Evaluate the loss chain; ordering violations are reported, not raised."""
-    rows = _rows(samples)
+    rows = residual_rows(samples)
     signed = aggregate_signed(rows)
     return GapReport(
         spatial_variability=spatial_variability(rows),

@@ -33,6 +33,7 @@ from .acquisition import (
 )
 from .core import ObservationSummary, ParameterBox, RngStream, aggregate_squared, summarize
 from .metamodel import STD_FLOOR, GpModel, fit, kernel_matrix, posterior, posterior_grad
+from .rss import THETA_FLOOR
 from .simulators import RootlessQuadratic, SimulationModel, make_model
 
 __all__ = [
@@ -50,12 +51,9 @@ __all__ = [
 ]
 
 # stream roles of one macro replication; SIM and POST take a design index
-_OBS, _INIT, _SIM, _ACQ, _POST = 0, 1, 2, 3, 4
-
-OBS_KEY = _OBS
+OBS_KEY, _INIT, _SIM, _ACQ, _POST = 0, 1, 2, 3, 4
 
 ROOTLESS_REPS = 10  # replications per design point in rootless_differences
-THETA_FLOOR = 1e-8  # least extent of a search-space reduction axis, for rss and the box
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class CalibrationTrace:
 def observation_model(problem: str, problem_params: dict | None, seed: int,
                       rep: int = 0) -> SimulationModel:
     """The model of macro replication `rep`, with its fixed observation."""
-    return make_model(problem, RngStream(seed).child(rep).child(_OBS), problem_params)
+    return make_model(problem, RngStream(seed).child(rep).child(OBS_KEY), problem_params)
 
 
 def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
@@ -169,15 +167,10 @@ def _fit_surrogate(box: ParameterBox, summaries, config: RunConfig):
     incumbent and the design posteriors (None for a deterministic surrogate),
     which the incumbent and stochastic search-space reduction share."""
     design = np.array([s.theta for s in summaries])
-    if config.acq.mode is Mode.ROOT:
-        targets = np.array([s.signed_mean for s in summaries])
-        noise = np.array([s.signed_noise_var for s in summaries])
-    else:
-        targets = np.array([s.squared_mean for s in summaries])
-        noise = np.array([s.squared_noise_var for s in summaries])
-    if not config.stochastic:
-        noise = np.zeros_like(noise)
-    model = fit(box, design, targets, noise)
+    root = config.acq.mode is Mode.ROOT
+    targets = np.array([s.signed_mean if root else s.squared_mean for s in summaries])
+    noise = np.array([s.signed_noise_var if root else s.squared_noise_var for s in summaries])
+    model = fit(box, design, targets, noise if config.stochastic else None)
     posts = design_posteriors(model) if config.stochastic else None
     return model, select_incumbent(model, config.acq.mode, posts), posts
 
@@ -187,10 +180,10 @@ def _active_box(model: GpModel, posts, summaries, config: RunConfig,
     if not config.use_rss:
         return box
     if posts is not None:
-        sub = rss_mod.rss_stochastic(model.design, posts, config.alpha, THETA_FLOOR)
+        sub = rss_mod.rss_stochastic(model.design, posts, config.alpha)
     else:
         signed = np.array([s.signed_mean for s in summaries])
-        sub = rss_mod.rss_deterministic(model.design, signed, THETA_FLOOR)
+        sub = rss_mod.rss_deterministic(model.design, signed)
     if sub is None:
         return box
     # degenerate axes (coincident coordinates) keep a positive extent via the floor

@@ -104,11 +104,6 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.add.reduce((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
 
 
-def _rbf(d2, lengthscale: float) -> np.ndarray:
-    """The squared-exponential kernel of squared distances d2."""
-    return np.exp(-d2 / (2.0 * lengthscale**2))
-
-
 def kernel_matrix(A, B, lengthscale: float) -> np.ndarray:
     """Pairwise exp(-||A[i] - B[j]||^2 / (2 l^2)); 1-D inputs are single-axis points.
 
@@ -121,7 +116,7 @@ def kernel_matrix(A, B, lengthscale: float) -> np.ndarray:
     A, B = (X[:, None] if X.ndim == 1 else X for X in (A, B))
     if A.shape[1] != B.shape[1]:
         raise ValueError("point dimensions disagree")
-    return _rbf(_sq_dists(A, B), lengthscale)
+    return np.exp(-_sq_dists(A, B) / (2.0 * lengthscale**2))
 
 
 def _plus_diagonal(A: np.ndarray, v) -> np.ndarray:
@@ -195,7 +190,7 @@ def _grid_lml(unit, targets, noise_diag, grid) -> np.ndarray:
 
     All candidates are built from one distance matrix as one stack and
     factored by one stacked cholesky.  Each divisor is the scalar 2 l^2 that
-    _rbf computes: the array 2.0 * grid**2 rounds differently on one of
+    kernel_matrix computes: the array 2.0 * grid**2 rounds differently on one of
     fit's 50 candidates, while the stacked exp, diagonal adds and cholesky
     match the 2-D ones.  A candidate that is not positive definite makes the
     stacked call raise; each is then factored alone, and that one gives -inf.
@@ -230,7 +225,8 @@ def _golden_section(f, lo, hi, rel_tol=1e-4):
 
 
 def fit(box: ParameterBox, design, targets, noise_diag=None) -> GpModel:
-    """Fit the lengthscale by maximizing the log marginal likelihood.
+    """Fit the lengthscale by maximizing the log marginal likelihood;
+    `noise_diag=None` is a deterministic surrogate's zero noise.
 
     The search evaluates 50 log-spaced candidates over LENGTHSCALE_BOUNDS,
     then refines the best one by golden-section search.
@@ -293,7 +289,7 @@ def _kernel_vector(model: GpModel, theta) -> tuple[np.ndarray, np.ndarray]:
         x = x.reshape(1)
     if not all(map(math.isfinite, x.tolist())):
         raise ValueError(f"theta must be finite, got {np.asarray(theta, dtype=float).tolist()}")
-    # box.to_unit and _rbf's arithmetic; -d2 / c and d2 / -c are the same bits
+    # box.to_unit and kernel_matrix's arithmetic; -d2 / c and d2 / -c are the same bits
     diff = (x - box.lower) / box.width - model.unit_design
     return diff, np.exp(np.add.reduce(diff * diff, axis=-1) / model.neg_two_l2)
 

@@ -190,7 +190,7 @@ class RootlessQuadratic(SimulationModel):
     """theta^2 + eps plus N(0, 0.01^2) observation noise on [-1, 1]."""
 
     eps: float = 0.1
-    noise_std: float = 0.01
+    noise_std = 0.01  # a class constant, not a constructor argument
     box = ParameterBox([-1.0], [1.0])
     output_dim = 1
 

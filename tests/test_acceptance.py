@@ -131,11 +131,11 @@ def test_criterion_4_rss_hand_cases():
     start = time.monotonic()
     design = np.array([[0.0, 0.0], [1.0, 2.0]])
 
-    sub = rss_deterministic(design, [1.0, -1.0], 1e-8)
+    sub = rss_deterministic(design, [1.0, -1.0])
     assert sub.volume == pytest.approx(4.0)
 
     coincident = np.array([[0.0, 0.0], [0.0, 2.0]])
-    sub = rss_deterministic(coincident, [1.0, -2.0], 1e-8)
+    sub = rss_deterministic(coincident, [1.0, -2.0])
     assert sub.volume == pytest.approx(6e-8)
 
     from scipy.special import ndtri
@@ -143,12 +143,12 @@ def test_criterion_4_rss_hand_cases():
     a = Posterior(mean=-float(ndtri(0.05)), var=1.0)
     b = Posterior(mean=-50.0, var=1.0)
     assert sign_change_prob(a, b) == pytest.approx(0.95)
-    sub = rss_stochastic(design, [a, b], alpha=0.95, theta_floor=1e-8)
+    sub = rss_stochastic(design, [a, b], alpha=0.95)
     assert sub.volume == pytest.approx(0.1)
 
-    assert rss_deterministic(design, [1.0, 2.0], 1e-8) is None
+    assert rss_deterministic(design, [1.0, 2.0]) is None
     same_sign = [Posterior(mean=3.0, var=0.01), Posterior(mean=4.0, var=0.01)]
-    assert rss_stochastic(design, same_sign, 0.95, 1e-8) is None
+    assert rss_stochastic(design, same_sign, 0.95) is None
     assert time.monotonic() - start < 1.0
 
 

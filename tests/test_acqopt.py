@@ -84,6 +84,33 @@ class TestOptimize:
         x, _ = optimize(f, box, RngStream(5))
         assert 0.0 <= x[0] <= 1.0
 
+    def test_maximize_is_minimizing_the_negation(self):
+        """One search path for both directions: on every maximized surface,
+        optimize(f, maximize=True) and optimize(-f) from the same stream
+        return the same x, negated values, and make the same objective calls
+        and gradient requests."""
+        def negated(objective):
+            def f(theta):
+                val, gradient = objective(theta)
+                return -val, None if gradient is None else (lambda: -gradient())
+            return f
+
+        surfaces = list(_surfaces()) + list(_curvature_surfaces())
+        maximized = 0
+        for seed, (box, objective, maximize) in enumerate(surfaces):
+            if not maximize:
+                continue
+            maximized += 1
+            up, down = collections.Counter(), collections.Counter()
+            x_up, v_up = optimize(_counted(objective, up), box, RngStream(seed),
+                                  maximize=True)
+            x_down, v_down = optimize(_counted(negated(objective), down), box,
+                                      RngStream(seed))
+            assert x_up.tobytes() == x_down.tobytes()
+            assert np.float64(-v_up).tobytes() == np.float64(v_down).tobytes()
+            assert up == down
+        assert maximized == 13
+
     def test_all_non_finite_raises(self):
         box = ParameterBox([0.0], [1.0])
 
@@ -92,6 +119,24 @@ class TestOptimize:
 
         with pytest.raises(OptimizationError):
             optimize(f, box, RngStream(6))
+
+
+def _counted(objective, calls):
+    """`objective` with each call and each gradient request counted in
+    `calls` by kind and point."""
+    def f(theta):
+        calls["value", theta.tobytes()] += 1
+        val, gradient = objective(theta)
+        if gradient is None:
+            return val, None
+
+        def requested():
+            calls["gradient", theta.tobytes()] += 1
+            return gradient()
+
+        return val, requested
+
+    return f
 
 
 def _surfaces():
@@ -185,11 +230,11 @@ class TestGradientRequests:
         same calls and gradient requests."""
         searches, local_searches = [], acqopt._local_searches
 
-        def one_start_at_a_time(f, x0, lower, upper):
+        def one_start_at_a_time(f, x0, lower, upper, sign):
             results = []
             for row in x0:
                 searches.append([])
-                results.append(local_searches(f, row[None], lower, upper))
+                results.append(local_searches(f, row[None], lower, upper, sign))
             return (np.concatenate([x for x, _ in results]),
                     np.concatenate([val for _, val in results]))
 
@@ -325,6 +370,31 @@ class TestLbfgs:
         assert any(seen)
         assert not all(seen)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="CHANGES.md FOUND on acqopt._pair: a negative-curvature "
+                              "newest pair clamps the scaling to 1e-12, so the next "
+                              "accepted step barely moves x")
+    def test_negative_curvature_pair_still_moves_x(self):
+        """Minimizing -x'x from 0.3 in [-1, 2]: the first accepted step's pair
+        has s'y < 0 and y'y > 1e-12, and the step after it should move x by
+        more than 1e-10 |grad|."""
+        stepped_from = []  # (x, gradient) at each point the search steps from
+
+        def concave(x):
+            def gradient():
+                stepped_from.append((x.copy(), -2.0 * x))
+                return -2.0 * x
+            return float(-(x @ x)), gradient
+
+        _local_searches(concave, np.array([[0.3]]), np.array([-1.0]), np.array([2.0]))
+        if len(stepped_from) < 3:
+            pytest.fail(f"the search stepped from only {len(stepped_from)} points")
+        (x0, g0), (x1, g1), (x2, _) = stepped_from[:3]
+        s, y = x1 - x0, g1 - g0
+        if not (s @ y < 0 and y @ y > 1e-12):
+            pytest.fail(f"the first pair has s'y {s @ y} and y'y {y @ y}")
+        assert np.linalg.norm(x2 - x1) > 1e-10 * np.linalg.norm(g1)
+
     def test_direction_equals_two_loop_reference(self):
         """Each row of the stacked recursion matches the scalar one on that
         row's own history, including rows whose pairs are skipped."""
@@ -390,7 +460,8 @@ def _local_search_reference(f, x0, lower, upper, face_test=True):
 
 
 def _signed(objective, maximize):
-    """The objective in the minimization's sign, as `optimize` wraps it."""
+    """The objective in the minimization's sign, as `_local_searches` reads
+    it with `sign` -1."""
     if not maximize:
         return objective
 
@@ -408,21 +479,8 @@ def _both_searches(objective, box, rng, maximize):
     (x, value), each with the objective calls and gradient requests it made,
     counted by point."""
     x0 = box.lower + rng.generator().random((acqopt.STARTS, box.dim)) * box.width
-    f = _signed(objective, maximize)
     calls = collections.Counter()
-
-    def counted(theta):
-        calls["value", theta.tobytes()] += 1
-        val, gradient = f(theta)
-        if gradient is None:
-            return val, None
-
-        def requested():
-            calls["gradient", theta.tobytes()] += 1
-            return gradient()
-
-        return val, requested
-
+    counted = _counted(_signed(objective, maximize), calls)
     lockstep = list(zip(*_local_searches(counted, x0, box.lower, box.upper)))
     lockstep_calls = calls.copy()
     calls.clear()

@@ -95,6 +95,17 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys, command):
+        """A UTF-16 file with its byte-order mark, as some editors save JSON."""
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(_base_config(tmp_path)).encode("utf-16-le"))
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(str(path))
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert f"config error: cannot read config {path}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_unknown_top_level_key(self, tmp_path):
         cfg = _base_config(tmp_path)
         cfg["extra"] = 1
@@ -136,6 +147,13 @@ class TestConfigValidation:
 
     def test_unknown_subcommand_is_config_error(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
+
+    def test_every_subcommand_carries_its_handler(self):
+        """`main` dispatches only through each subparser's `handler`."""
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        assert set(subcommands) == {"run", "sweep", "validate", "rootless", "diagnose"}
+        for name, subparser in subcommands.items():
+            assert subparser.get_default("handler").__name__ == f"cmd_{name}"
 
     @pytest.mark.parametrize("acq", ["pi", "ei"])
     def test_kappa_off_lcb_rejected(self, tmp_path, capsys, acq):
@@ -186,7 +204,7 @@ class TestConfigValidation:
     def test_problems_and_their_params_are_the_model_table(self):
         """The problem enum and `diagnose --problem` list the model table's
         names, and problem_params lists every keyword of the table's
-        constructors but rootless's noise_std."""
+        constructors."""
         schema = CONFIG_SCHEMA["properties"]
         assert schema["problem"]["enum"] == list(PROBLEMS)
         diagnose = build_parser()._subparsers._group_actions[0].choices["diagnose"]
@@ -196,7 +214,7 @@ class TestConfigValidation:
         for cls in PROBLEMS.values():
             constructor = cls.from_stream if "from_stream" in vars(cls) else cls
             keywords |= set(inspect.signature(constructor).parameters) - {"obs_rng"}
-        assert set(schema["problem_params"]["properties"]) == keywords - {"noise_std"}
+        assert set(schema["problem_params"]["properties"]) == keywords
 
 
 class TestSweep:
@@ -363,6 +381,16 @@ class TestRootless:
         assert main(["rootless", "--eps", "1", "--design-sizes", "a,b",
                      "--output", out]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("sizes", [",", "", ",,"])
+    def test_empty_design_sizes_rejected_naming_the_flag(self, tmp_path, capsys, sizes):
+        out = tmp_path / "gaps.csv"
+        assert main(["rootless", "--eps", "1", "--design-sizes", sizes,
+                     "--output", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "argument --design-sizes: must be comma-separated integers" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_prints_chain_report(self, capsys):
@@ -374,6 +402,13 @@ class TestDiagnose:
         assert report["theta"] == [0.5]
         assert len(report["chain"]) == 3
         assert report["chain_ordered"]
+
+    @pytest.mark.parametrize("theta", [",", "", "a"])
+    def test_rejects_theta_not_a_list_of_numbers_naming_the_flag(self, capsys, theta):
+        assert main(["diagnose", "--problem", "mm1", "--theta", theta]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "argument --theta: must be comma-separated numbers" in captured.err
+        assert captured.out == ""
 
     def test_rejects_wrong_dimension(self, capsys):
         code = main(["diagnose", "--problem", "himmelblau2d", "--theta", "0.5"])

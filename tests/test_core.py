@@ -106,7 +106,6 @@ class TestSummarize:
         assert s.squared_mean == 2.5
         # n(n-1) normalizer: sum of squared deviations 2, over 2*1
         assert s.signed_noise_var == pytest.approx(1.0)
-        assert s.reps == 2
 
     def test_single_replication_noise_zero(self):
         s = summarize([0.0], [[1.0, 2.0]])

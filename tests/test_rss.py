@@ -13,7 +13,7 @@ from rootcal.rss import (
 class TestDeterministic:
     def test_worked_pair(self):
         design = np.array([[0.0, 0.0], [1.0, 2.0]])
-        sub = rss_deterministic(design, [1.0, -1.0], 1e-8)
+        sub = rss_deterministic(design, [1.0, -1.0])
         assert sub is not None
         assert sub.volume == pytest.approx(4.0)
         assert np.allclose(sub.lo, [0.0, 0.0])
@@ -21,23 +21,23 @@ class TestDeterministic:
 
     def test_coincident_axis_uses_floor(self):
         design = np.array([[0.0, 0.0], [0.0, 2.0]])
-        sub = rss_deterministic(design, [1.0, -2.0], 1e-8)
+        sub = rss_deterministic(design, [1.0, -2.0])
         assert sub.volume == pytest.approx(6e-8)
 
     def test_no_sign_change_returns_none(self):
         design = np.array([[0.0], [1.0], [2.0]])
-        assert rss_deterministic(design, [1.0, 2.0, 0.5], 1e-8) is None
+        assert rss_deterministic(design, [1.0, 2.0, 0.5]) is None
 
     def test_picks_smallest_volume(self):
         design = np.array([[0.0], [10.0], [1.0]])
         # pairs (0,1) and (2,1) change sign; (2,1) spans the smaller region
-        sub = rss_deterministic(design, [1.0, -1.0, 1.0], 1e-8)
+        sub = rss_deterministic(design, [1.0, -1.0, 1.0])
         assert sub.pair == (1, 2)
         assert sub.volume == pytest.approx(9.0 * 2.0)
 
     def test_tie_breaks_lexicographically(self):
         design = np.array([[0.0], [1.0], [2.0], [3.0]])
-        sub = rss_deterministic(design, [1.0, -1.0, 1.0, -1.0], 1e-8)
+        sub = rss_deterministic(design, [1.0, -1.0, 1.0, -1.0])
         assert sub.pair == (0, 1)
 
 
@@ -75,7 +75,7 @@ class TestStochastic:
         a = Posterior(mean=-float(ndtri(0.05)), var=1.0)
         b = Posterior(mean=-50.0, var=1.0)
         assert sign_change_prob(a, b) == pytest.approx(0.95)
-        sub = rss_stochastic(design, [a, b], alpha=0.95, theta_floor=1e-8)
+        sub = rss_stochastic(design, [a, b], alpha=0.95)
         assert sub is not None
         assert sub.volume == pytest.approx(1.0 * 2.0 * (1.0 - 0.95))
         assert sub.volume == pytest.approx(0.1)
@@ -84,7 +84,7 @@ class TestStochastic:
         design = np.array([[0.0], [1.0]])
         a = Posterior(mean=1.0, var=0.01)
         b = Posterior(mean=2.0, var=0.01)
-        assert rss_stochastic(design, [a, b], 0.95, 1e-8) is None
+        assert rss_stochastic(design, [a, b], 0.95) is None
 
     def test_smallest_volume_wins(self):
         from scipy.special import ndtri
@@ -94,10 +94,10 @@ class TestStochastic:
         # shared sign-change probability below 1, so extents break the tie
         pos = Posterior(mean=-float(ndtri(0.01)), var=1.0)
         neg = Posterior(mean=-float(ndtri(0.99)), var=1.0)
-        sub = rss_stochastic(design, [pos, neg, pos], 0.95, 1e-8)
+        sub = rss_stochastic(design, [pos, neg, pos], 0.95)
         assert sub.pair == (1, 2)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             rss_stochastic(np.array([[0.0], [1.0]]),
-                           [Posterior(0.0, 1.0)] * 2, 1.5, 1e-8)
+                           [Posterior(0.0, 1.0)] * 2, 1.5)
