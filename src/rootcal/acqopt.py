@@ -141,21 +141,18 @@ def optimize(objective, box: ParameterBox, rng: RngStream,
     `objective(theta) -> (value, gradient_or_None)`, where `gradient()`
     gives a float array; a maximization searches on both negated.  Only
     each start's final iterate counts toward the reduction, not the
-    line-search trials it rejected.  Each accepted step meets the Armijo
-    condition `value <= value_at_x + SUFFICIENT_DECREASE * grad'(step)` in
-    the search's sign.  The returned value is the objective's own there.
+    line-search trials it rejected; among equal finite values the least
+    point, coordinates compared in order, wins, then the earliest start.
+    Each accepted step meets the Armijo condition `value <= value_at_x +
+    SUFFICIENT_DECREASE * grad'(step)` in the search's sign.  The returned
+    value is the objective's own there.
     """
     gen = rng.generator()
     sign = -1.0 if maximize else 1.0
     x0 = box.lower + gen.random((STARTS, box.dim)) * box.width
     xs, vals = _local_searches(objective, x0, box.lower, box.upper, sign)
-    best_x, best_val = None, np.inf
-    for x, val in zip(xs, vals):
-        if np.isfinite(val) and (
-            val < best_val
-            or (val == best_val and best_x is not None and tuple(x) < tuple(best_x))
-        ):
-            best_x, best_val = x, val
-    if best_x is None:
+    finite = np.flatnonzero(np.isfinite(vals))
+    if not finite.size:
         raise OptimizationError("all starts returned non-finite objective values")
-    return best_x, sign * float(best_val)
+    best = finite[np.lexsort((finite, *xs[finite, ::-1].T, vals[finite]))[0]]
+    return xs[best], sign * float(vals[best])

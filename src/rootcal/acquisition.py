@@ -102,17 +102,13 @@ def select_incumbent(model: GpModel, mode: Mode, posts=None) -> Incumbent:
     if model.size < 1:
         raise ValueError("empty design")
     if posts is None:
-        vals = model.targets
-        idx = int(np.argmin(vals if mode is Mode.MIN else np.abs(vals)))
-        return Incumbent(index=idx, value=float(vals[idx]))
-    if len(posts) != model.size:
+        values, root_scores = model.targets, np.abs(model.targets)
+    elif len(posts) != model.size:
         raise ValueError(f"{len(posts)} posteriors for {model.size} design points")
-    means = np.array([p.mean for p in posts])
-    if mode is Mode.MIN:
-        idx = int(np.argmin(means))
     else:
-        idx = int(np.argmin([p.mean**2 + p.var for p in posts]))
-    return Incumbent(index=idx, value=float(means[idx]))
+        values, root_scores = [p.mean for p in posts], [p.mean**2 + p.var for p in posts]
+    idx = int(np.argmin(values if mode is Mode.MIN else root_scores))
+    return Incumbent(index=idx, value=float(values[idx]))
 
 
 def lcb(post: Posterior, kappa: float) -> float:

@@ -19,13 +19,12 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .acquisition import AcqKind, Family, Mode
 from .core import RngStream
 from .diagnostics import chain_check, validate_gradients
 from .engine import (
     RunConfig,
+    draw_checked,
     macro_sweep,
     observation_model,
     rootless_table,
@@ -269,17 +268,15 @@ def cmd_rootless(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     params = None if args.eps is None else {"eps": args.eps}
-    sim = observation_model(args.problem, params, args.seed)
-    theta = np.asarray(args.theta, dtype=float)
-    if theta.size != sim.box.dim:
-        raise ConfigError(f"theta must have {sim.box.dim} component(s)")
-    if not sim.box.contains(theta):
-        raise ConfigError("theta outside the parameter box")
-    samples = sim.draw(theta, RngStream(args.seed).child(1).generator(), args.reps)
-    report = chain_check(samples)
+    try:  # a parameter the problem does not take, a bad value or a bad theta
+        sim = observation_model(args.problem, params, args.seed)
+        draws = draw_checked(sim, args.theta, RngStream(args.seed).child(1).generator(), args.reps)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    report = chain_check(draws)
     print(json.dumps({
         "problem": args.problem,
-        "theta": [float(v) for v in theta],
+        "theta": args.theta,
         "reps": args.reps,
         "spatial_variability": report.spatial_variability,
         "aggregate_variance": report.aggregate_variance,

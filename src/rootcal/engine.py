@@ -42,6 +42,7 @@ __all__ = [
     "CalibrationTrace",
     "observation_model",
     "initial_design",
+    "draw_checked",
     "evaluate_point",
     "post_evaluate",
     "run_calibration",
@@ -125,7 +126,7 @@ def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
     return [box.from_unit(u) for u in points]
 
 
-def _draw_checked(model: SimulationModel, theta, gen, reps: int) -> np.ndarray:
+def draw_checked(model: SimulationModel, theta, gen, reps: int) -> np.ndarray:
     """`model.draw(theta, gen, reps)`, rejecting a theta of the wrong length,
     non-finite or out of the box before drawing and a non-finite draw after."""
     point = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -149,7 +150,7 @@ def evaluate_point(model: SimulationModel, theta, reps: int,
     and summarize them."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return summarize(theta, _draw_checked(model, theta, rng.generator(), reps))
+    return summarize(theta, draw_checked(model, theta, rng.generator(), reps))
 
 
 def post_evaluate(model: SimulationModel, theta, post_reps: int,
@@ -157,7 +158,7 @@ def post_evaluate(model: SimulationModel, theta, post_reps: int,
     """Fresh estimate of the squared-discrepancy objective with a 95% CI half-width."""
     if post_reps < 2:
         raise ValueError("post_reps must be >= 2")
-    vals = aggregate_squared(_draw_checked(model, theta, rng.generator(), post_reps))
+    vals = aggregate_squared(draw_checked(model, theta, rng.generator(), post_reps))
     ci_half = 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
     return float(vals.mean()), ci_half
 

@@ -205,14 +205,14 @@ def _grid_lml(unit, targets, noise_diag, grid) -> np.ndarray:
     return np.array([_lml(L, targets) for L in factors])
 
 
-def _golden_section(f, lo, hi, rel_tol=1e-4):
+def _golden_section(f, lo, hi):
     """Maximize f over [lo, hi] in log space."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = np.log(lo), np.log(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(np.exp(c)), f(np.exp(d))
-    while (b - a) > rel_tol:
+    while (b - a) > 1e-4:  # the bracket's width in log lengthscale
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

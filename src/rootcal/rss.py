@@ -31,48 +31,45 @@ class Subregion:
 def _smallest_pair(design, weight) -> Subregion | None:
     """Smallest weighted-volume pair subregion; ties keep the first pair in (a, b) order.
 
-    `weight(a, b)` scales the pair's floored hypervolume, or is None when the
-    pair is not a candidate.
+    `weight[a, b]` scales the pair's floored hypervolume, and is inf where
+    the pair is not a candidate.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
-    best = None
-    for a in range(design.shape[0]):
-        for b in range(a + 1, design.shape[0]):
-            w = weight(a, b)
-            if w is None:
-                continue
-            ta, tb = design[a], design[b]
-            vol = float(np.prod(np.maximum(np.abs(ta - tb), THETA_FLOOR)) * w)
-            if best is None or vol < best.volume:
-                best = Subregion(np.minimum(ta, tb), np.maximum(ta, tb), vol, (a, b))
-    return best
+    a, b = np.nonzero(np.triu(weight < np.inf, 1))  # the candidates, in (a, b) order
+    if not a.size:
+        return None
+    vols = np.prod(np.maximum(np.abs(design[a] - design[b]), THETA_FLOOR), axis=1) * weight[a, b]
+    k = int(np.argmin(vols))
+    ta, tb = design[a[k]], design[b[k]]
+    return Subregion(np.minimum(ta, tb), np.maximum(ta, tb), float(vols[k]), (int(a[k]), int(b[k])))
 
 
 def rss_deterministic(design, signed_values) -> Subregion | None:
     """Smallest sign-changing subregion over all design pairs, or None."""
     f = np.asarray(signed_values, dtype=float)
     return _smallest_pair(
-        design, lambda a, b: abs(f[a] - f[b]) if f[a] * f[b] < 0 else None)
+        design, np.where(np.multiply.outer(f, f) < 0, np.abs(np.subtract.outer(f, f)), np.inf))
+
+
+def _sign_change_probs(posteriors) -> np.ndarray:
+    """P[a, b], the posterior probability that design points a and b bracket a root.
+
+    Treats the posteriors as independent normals; a sign change occurs when
+    exactly one of the two latent values is negative.
+    """
+    q = ndtr(-np.array([p.mean for p in posteriors])
+             / np.maximum([p.std for p in posteriors], STD_FLOOR))
+    return q[:, None] + q - 2.0 * q[:, None] * q
 
 
 def sign_change_prob(post_a: Posterior, post_b: Posterior) -> float:
-    """Posterior probability that two design points bracket a root.
-
-    Treats the two posteriors as independent normals; a sign change occurs
-    when exactly one of the two latent values is negative.
-    """
-    pa = float(ndtr(-post_a.mean / max(post_a.std, STD_FLOOR)))
-    pb = float(ndtr(-post_b.mean / max(post_b.std, STD_FLOOR)))
-    return pa + pb - 2.0 * pa * pb
+    """Posterior probability that two design points bracket a root (see `_sign_change_probs`)."""
+    return float(_sign_change_probs([post_a, post_b])[0, 1])
 
 
 def rss_stochastic(design, posteriors, alpha: float) -> Subregion | None:
     """Smallest subregion among pairs with sign-change probability >= alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-
-    def weight(a, b):
-        p = sign_change_prob(posteriors[a], posteriors[b])
-        return 1.0 - p if p >= alpha else None
-
-    return _smallest_pair(design, weight)
+    p = _sign_change_probs(posteriors)
+    return _smallest_pair(design, np.where(p >= alpha, 1.0 - p, np.inf))

@@ -125,21 +125,19 @@ class Mm1Queue(SimulationModel):
 
 def sir_trajectories(infection_prob: float, gen: np.random.Generator,
                      reps: int = 1, population: int = 100,
-                     initial_infected: int = 10, contacts_per_day: int = 2,
-                     recovery_prob: float = 0.7, horizon: int = 5) -> np.ndarray:
+                     initial_infected: int = 10) -> np.ndarray:
     """``(reps, horizon)`` daily cumulative recovered proportions of stochastic SIR runs.
 
     Within a day, infections resolve first over the start-of-day susceptible
-    pool: the infected take turns, each contacting min(contacts_per_day,
-    pool) distinct current susceptibles, sampled without replacement.  Then
-    recoveries apply only to individuals infected before that day.  Each
-    pass over the replications still taking turns is one array binomial:
-    while the pool is at least c = contacts_per_day, the next
-    k = min(left, (pool - c) // c + 1) turns all make full contacts and are
-    one Binomial(c * k, p) draw; a smaller pool takes one Binomial(pool, p)
-    turn.
+    pool: the infected take turns, each contacting min(c, pool) distinct
+    current susceptibles, sampled without replacement.  Then recoveries apply
+    only to individuals infected before that day.  Each pass over the
+    replications still taking turns is one array binomial: while the pool is
+    at least c, the next k = min(left, (pool - c) // c + 1) turns all make
+    full contacts and are one Binomial(c * k, p) draw; a smaller pool takes
+    one Binomial(pool, p) turn.
     """
-    c = contacts_per_day
+    c, recovery_prob, horizon = 2, 0.7, 5  # contacts per day, daily recovery, days observed
     s = np.full(reps, population - initial_infected)
     i = np.full(reps, initial_infected)
     r = np.zeros(reps, dtype=int)

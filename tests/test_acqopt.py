@@ -636,5 +636,47 @@ class TestLockstep:
         assert better >= worse, (better, worse)
 
 
+def _made_up_searches(gen, dim, finite=True):
+    """Per-start (xs, vals) as `_local_searches` returns them: coordinates
+    from a set holding -0.0 and 0.0, values from a set holding ties,
+    signed zeros, +-inf and nan, or only the last three."""
+    xs = gen.choice([-0.0, 0.0, 0.25, 0.5, 1.0], (acqopt.STARTS, dim))
+    values = [np.inf, -np.inf, np.nan] + finite * [-1.0, -0.0, 0.0, 0.5]
+    return xs, gen.choice(values, acqopt.STARTS)
+
+
+class TestPick:
+    """`optimize`'s pick among the starts, against the loop it replaced (`_best`)."""
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_matches_the_loop(self, monkeypatch, maximize):
+        gen = np.random.default_rng(22)
+        picked = raised = 0
+        for case in range(600):
+            xs, vals = _made_up_searches(gen, 1 + case % 3, finite=case % 20 > 0)
+            monkeypatch.setattr(acqopt, "_local_searches", lambda *args: (xs, vals))
+            want_x, want_val = _best(zip(xs, vals), maximize)
+            box = ParameterBox(np.zeros(xs.shape[1]), np.ones(xs.shape[1]))
+            if want_x is None:
+                with pytest.raises(OptimizationError):
+                    optimize(None, box, RngStream(case), maximize)
+                raised += 1
+                continue
+            x, val = optimize(None, box, RngStream(case), maximize)
+            assert x.tobytes() == want_x.tobytes()
+            assert np.float64(val).tobytes() == np.float64(want_val).tobytes()
+            picked += 1
+        assert picked > 500 and raised == 30
+
+    def test_equal_values_go_to_the_least_point_then_the_first_start(self, monkeypatch):
+        xs = np.array([[0.5, 0.0], [0.0, 0.5], [0.0, 0.5], [-0.0, 0.5], [0.0, 0.25]]
+                      + [[1.0, 1.0]] * (acqopt.STARTS - 5))
+        vals = np.array([1.0, 1.0, 1.0, 1.0, 2.0] + [np.nan] * (acqopt.STARTS - 5))
+        monkeypatch.setattr(acqopt, "_local_searches", lambda *args: (xs, vals))
+        x, val = optimize(None, ParameterBox([-1.0, -1.0], [1.0, 1.0]), RngStream(0))
+        # starts 1, 2 and 3 tie on value and point (-0.0 == 0.0); start 1 is first
+        assert x.tobytes() == xs[1].tobytes() and val == 1.0
+
+
 if __name__ == "__main__":
     print(f'OPTIMIZER_ORACLE = "{optimizer_digest()}"')

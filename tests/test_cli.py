@@ -417,19 +417,20 @@ class TestDiagnose:
 
     def test_rejects_param_the_problem_does_not_take(self, capsys):
         code = main(["diagnose", "--problem", "mm1", "--theta", "5", "--eps", "0.1"])
-        assert code != EXIT_OK
+        assert code == EXIT_CONFIG
         assert "eps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_rejects_non_finite_eps_naming_it(self, capsys, eps):
         code = main(["diagnose", "--problem", "rootless", "--theta", "0.5",
                      "--eps", eps])
-        assert code != EXIT_OK
+        assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "eps must be positive and finite" in captured.err
         assert captured.out == ""
 
-    def test_rejects_theta_outside_box(self, capsys):
-        code = main(["diagnose", "--problem", "sir", "--theta", "1.5"])
+    @pytest.mark.parametrize("theta", ["1.5", "nan", "-inf"])
+    def test_rejects_theta_outside_box(self, capsys, theta):
+        code = main(["diagnose", "--problem", "sir", "--theta", theta])
         assert code == EXIT_CONFIG
-        capsys.readouterr()
+        assert capsys.readouterr().out == ""

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rootcal.metamodel import Posterior
+from rootcal.metamodel import STD_FLOOR, Posterior
 from rootcal.rss import (
+    THETA_FLOOR,
+    Subregion,
     rss_deterministic,
     rss_stochastic,
     sign_change_prob,
@@ -101,3 +103,108 @@ class TestStochastic:
         with pytest.raises(ValueError):
             rss_stochastic(np.array([[0.0], [1.0]]),
                            [Posterior(0.0, 1.0)] * 2, 1.5)
+
+
+# The double loop behind a weight(a, b) callback that `_smallest_pair`'s
+# pair matrix replaced, kept as the reference its bytes are held to.
+def _smallest_pair_reference(design, weight):
+    design = np.atleast_2d(np.asarray(design, dtype=float))
+    best = None
+    for a in range(design.shape[0]):
+        for b in range(a + 1, design.shape[0]):
+            w = weight(a, b)
+            if w is None:
+                continue
+            ta, tb = design[a], design[b]
+            vol = float(np.prod(np.maximum(np.abs(ta - tb), THETA_FLOOR)) * w)
+            if best is None or vol < best.volume:
+                best = Subregion(np.minimum(ta, tb), np.maximum(ta, tb), vol, (a, b))
+    return best
+
+
+def _sign_change_prob_reference(post_a, post_b):
+    pa = float(ndtr(-post_a.mean / max(post_a.std, STD_FLOOR)))
+    pb = float(ndtr(-post_b.mean / max(post_b.std, STD_FLOOR)))
+    return pa + pb - 2.0 * pa * pb
+
+
+def _rss_deterministic_reference(design, signed_values):
+    f = np.asarray(signed_values, dtype=float)
+    return _smallest_pair_reference(
+        design, lambda a, b: abs(f[a] - f[b]) if f[a] * f[b] < 0 else None)
+
+
+def _rss_stochastic_reference(design, posteriors, alpha):
+    def weight(a, b):
+        p = _sign_change_prob_reference(posteriors[a], posteriors[b])
+        return 1.0 - p if p >= alpha else None
+
+    return _smallest_pair_reference(design, weight)
+
+
+def _same_subregion(got, want):
+    if want is None:
+        return got is None
+    return (got is not None and got.pair == want.pair
+            and got.lo.tobytes() == want.lo.tobytes()
+            and got.hi.tobytes() == want.hi.tobytes()
+            and np.float64(got.volume).tobytes() == np.float64(want.volume).tobytes())
+
+
+def _random_designs():
+    """Seeded (design, signed values, posteriors) for n = 1..15 and dim = 1..3:
+    continuous designs, designs on a coarse grid (so pairs share coordinates
+    and tie on THETA_FLOOR axes, and volumes repeat) and designs of one
+    repeated point; signed values from a small integer set (repeats, zeros
+    and equal pair weights) or continuous; posteriors with repeated means,
+    zero variances and stds below STD_FLOOR."""
+    gen = np.random.default_rng(20)
+    for n in range(1, 16):
+        for dim in range(1, 4):
+            for style in ("continuous", "grid", "repeated"):
+                if style == "continuous":
+                    design = gen.uniform(-1.0, 1.0, (n, dim))
+                elif style == "grid":
+                    design = gen.integers(0, 3, (n, dim)) * 0.5
+                else:
+                    design = np.repeat(gen.uniform(-1.0, 1.0, (1, dim)), n, axis=0)
+                for signed in (gen.integers(-2, 3, n).astype(float), gen.normal(0.0, 1.0, n)):
+                    means = np.where(gen.random(n) < 0.5, signed, gen.normal(0.0, 1.0, n))
+                    variances = gen.choice([0.0, 1e-20, 0.01, 0.25, 1.0], n)
+                    posts = [Posterior(mean=float(m), var=float(v))
+                             for m, v in zip(means, variances)]
+                    yield design, signed, posts
+
+
+class TestPairMatrix:
+    def test_deterministic_matches_the_double_loop(self):
+        cases = found = 0
+        for design, signed, _ in _random_designs():
+            want = _rss_deterministic_reference(design, signed)
+            assert _same_subregion(rss_deterministic(design, signed), want)
+            cases, found = cases + 1, found + (want is not None)
+        assert 0 < found < cases
+
+    def test_stochastic_matches_the_double_loop(self):
+        cases = found = 0
+        for design, _, posts in _random_designs():
+            probs = sorted({_sign_change_prob_reference(a, b)
+                            for i, a in enumerate(posts) for b in posts[i + 1:]})
+            # alphas equal to a pair's probability put pairs on both sides of it
+            alphas = [0.0, 0.5, 0.95, 1.0] + probs[len(probs) // 2:len(probs) // 2 + 1]
+            for alpha in alphas:
+                want = _rss_stochastic_reference(design, posts, alpha)
+                assert _same_subregion(rss_stochastic(design, posts, alpha), want)
+                cases, found = cases + 1, found + (want is not None)
+        assert 0 < found < cases
+
+    def test_sign_change_prob_is_the_scalar_formula_bit_for_bit(self):
+        gen = np.random.default_rng(21)
+        means = np.concatenate([gen.normal(0.0, 2.0, 200), [0.0, -0.0, 40.0, -40.0]])
+        variances = np.concatenate([gen.choice([0.0, 1e-20, 1e-4, 1.0, 9.0], 200),
+                                    [0.0, 1.0, 1e-4, 1e-4]])
+        posts = [Posterior(mean=float(m), var=float(v)) for m, v in zip(means, variances)]
+        for a, b in zip(posts, posts[1:] + posts[:1]):
+            got, want = sign_change_prob(a, b), _sign_change_prob_reference(a, b)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
