@@ -177,6 +177,15 @@ def _trace_rows(trace, dim: int):
     return header, rows
 
 
+def _config_checked(call, *args):
+    """call(*args) with a TypeError or ValueError (a parameter the problem does not take, a
+    bad value or theta) as a ConfigError; a sweep checks its model before any worker starts."""
+    try:
+        return call(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if len(cfg["methods"]) != 1:
@@ -185,7 +194,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if "trace" not in out or "summary" not in out:
         raise ConfigError("run needs output.trace and output.summary paths")
     run_cfg = _method_config(cfg["methods"][0], cfg)
-    sim = observation_model(cfg["problem"], cfg.get("problem_params"), cfg["seed"])
+    sim = _config_checked(observation_model, cfg["problem"], cfg.get("problem_params"), cfg["seed"])
 
     start = time.monotonic()
     trace = run_calibration(sim, run_cfg, stream_id=0)
@@ -223,6 +232,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers = _COUNT(os.environ.get("ROOTCAL_WORKERS", "1"))
     except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"ROOTCAL_WORKERS {exc}")
+    _config_checked(observation_model, cfg["problem"], cfg.get("problem_params"), cfg["seed"])
     long_rows, aggregate_rows = macro_sweep(
         cfg["problem"], cfg.get("problem_params"), configs,
         cfg["macro_reps"], workers=workers,
@@ -268,11 +278,9 @@ def cmd_rootless(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     params = None if args.eps is None else {"eps": args.eps}
-    try:  # a parameter the problem does not take, a bad value or a bad theta
-        sim = observation_model(args.problem, params, args.seed)
-        draws = draw_checked(sim, args.theta, RngStream(args.seed).child(1).generator(), args.reps)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    sim = _config_checked(observation_model, args.problem, params, args.seed)
+    draws = _config_checked(draw_checked, sim, args.theta,
+                            RngStream(args.seed).child(1).generator(), args.reps)
     report = chain_check(draws)
     print(json.dumps({
         "problem": args.problem,

@@ -9,6 +9,11 @@ The constants that every posterior query needs (the box's reciprocal
 widths, the kernel's lengthscale terms and a Fortran-ordered Cholesky
 factor) are computed once per model, by ``model_at``, with the same
 operations a query would apply, so a query returns the same bytes.
+
+``fit`` scores 50 grid lengthscales as stacks of systems, Cholesky factors,
+log-determinants and quadratic terms, with one dpotrs solve each (a stacked
+solve rounds differently), then refines the best by golden section through the
+public ``log_marginal_likelihood``, whose calls the benchmark's tracer counts.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ class GpModel:
 def _finite(name: str, x) -> np.ndarray:
     """x as a float array; ValueError naming the value unless every entry is finite."""
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise ValueError(f"{name} must be finite, got {x.tolist()}")
     return x
 
@@ -112,26 +117,27 @@ def kernel_matrix(A, B, lengthscale: float) -> np.ndarray:
     l = float(lengthscale)  # float arithmetic overflows to inf without a warning
     if not (l > 0 and 0 < 2.0 * l * l < math.inf):
         raise ValueError(f"lengthscale must be positive with 2 l^2 positive and finite, got {l}")
-    A, B = (np.asarray(X, dtype=float) for X in (A, B))
-    A, B = (X[:, None] if X.ndim == 1 else X for X in (A, B))
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    A, B = (A[:, None] if A.ndim == 1 else A), (B[:, None] if B.ndim == 1 else B)
     if A.shape[1] != B.shape[1]:
         raise ValueError("point dimensions disagree")
-    return np.exp(-_sq_dists(A, B) / (2.0 * lengthscale**2))
+    return np.exp(_sq_dists(A, B) / -(2.0 * lengthscale**2))  # -d2 / c in the same bits
 
 
-def _plus_diagonal(A: np.ndarray, v) -> np.ndarray:
-    """A with v added in place to its diagonal, or to each stacked matrix's, in any
-    layout; off the diagonal this equals adding np.diag(v), as x + 0.0 is x for kernel entries."""
+def _plus_diagonal(A: np.ndarray, *terms) -> np.ndarray:
+    """A with each term v added in turn, in place, to its diagonal, or to each stacked matrix's,
+    in any layout; off the diagonal this equals adding np.diag(v), as x + 0.0 is x for kernels."""
     diagonal = np.einsum("...ii->...i", A)  # a writeable view
-    diagonal += v
+    for v in terms:
+        diagonal += v
     return A
 
 
-def _system(unit_design, noise_diag, lengthscale) -> np.ndarray:
-    """K + Sigma; callers add jitter I to it."""
+def _system(unit_design, noise_diag, lengthscale, jitter=0.0) -> np.ndarray:
+    """K + Sigma + jitter I."""
     if np.shape(noise_diag) != (len(unit_design),):
         raise ValueError("noise_diag length must match design size")
-    return _plus_diagonal(kernel_matrix(unit_design, unit_design, lengthscale), noise_diag)
+    return _plus_diagonal(kernel_matrix(unit_design, unit_design, lengthscale), noise_diag, jitter)
 
 
 def _factor(system) -> np.ndarray | None:
@@ -168,11 +174,8 @@ def _lml(L, targets) -> float:
     """The log marginal likelihood from the Cholesky factor L of the system; -inf for None."""
     if L is None:
         return -np.inf
-    alpha = _cho_solve(L, targets)
-    return float(
-        -0.5 * targets @ alpha - np.add.reduce(np.log(L.diagonal()))
-        - 0.5 * targets.size * _LOG_2PI
-    )
+    return float(-0.5 * targets @ _cho_solve(L, targets) - np.add.reduce(np.log(L.diagonal()))
+                 - 0.5 * targets.size * _LOG_2PI)
 
 
 def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
@@ -180,35 +183,37 @@ def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
     """-1/2 f'(K+S)^-1 f - 1/2 log det(K+S) - n/2 log 2pi; -inf if not PD."""
     unit_design = _finite("unit_design", unit_design)
     targets = _finite("targets", targets)
-    _finite("jitter", jitter)
-    system = _system(unit_design, _finite("noise_diag", noise_diag), lengthscale)
-    return _lml(_factor(_plus_diagonal(system, jitter)), targets)
+    system = _system(unit_design, _finite("noise_diag", noise_diag), lengthscale,
+                     _finite("jitter", jitter))
+    return _lml(_factor(system), targets)
 
 
 def _grid_lml(unit, targets, noise_diag, grid) -> np.ndarray:
-    """log_marginal_likelihood at each lengthscale of grid, bit for bit.
+    """log_marginal_likelihood at each lengthscale of grid, bit for bit: systems, Cholesky
+    factors, log-determinants and quadratic terms are stacks, from one distance matrix.
 
-    All candidates are built from one distance matrix as one stack and
-    factored by one stacked cholesky.  Each divisor is the scalar 2 l^2 that
-    kernel_matrix computes: the array 2.0 * grid**2 rounds differently on one of
-    fit's 50 candidates, while the stacked exp, diagonal adds and cholesky
-    match the 2-D ones.  A candidate that is not positive definite makes the
-    stacked call raise; each is then factored alone, and that one gives -inf.
+    Each divisor is the scalar 2 l^2 that kernel_matrix computes (the array 2.0 * grid**2
+    rounds differently on one of fit's 50 candidates).  The solves stay one dpotrs per
+    candidate, as a stacked solve rounds differently.  A candidate that is not positive
+    definite makes the stacked cholesky raise; each is then done alone, -inf if it fails.
     """
-    divisors = np.array([2.0 * l**2 for l in grid])[:, None, None]
-    systems = _plus_diagonal(_plus_diagonal(np.exp(-_sq_dists(unit, unit) / divisors),
-                                            noise_diag), 1e-10)
+    divisors = np.array([2.0 * l**2 for l in grid.tolist()])[:, None, None]
+    systems = _plus_diagonal(np.exp(-_sq_dists(unit, unit) / divisors), noise_diag, 1e-10)
     try:
         factors = np.linalg.cholesky(systems)
     except np.linalg.LinAlgError:
-        factors = [_factor(system) for system in systems]
-    return np.array([_lml(L, targets) for L in factors])
+        return np.array([_lml(_factor(system), targets) for system in systems])
+    # each U.T is a factor in Fortran order, which dpotrs takes without a copy
+    alphas = np.array([_cho_solve(U.T, targets) for U in factors.swapaxes(1, 2).copy()])
+    return (np.matmul(-0.5 * targets, alphas[:, :, None])[:, 0]
+            - np.add.reduce(np.log(np.diagonal(factors, axis1=1, axis2=2)), axis=-1)
+            - 0.5 * targets.size * _LOG_2PI)
 
 
 def _golden_section(f, lo, hi):
     """Maximize f over [lo, hi] in log space."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.log(lo), np.log(hi)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(np.log(lo)), float(np.log(hi))  # float arithmetic, in the same bits
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(np.exp(c)), f(np.exp(d))
@@ -228,32 +233,26 @@ def fit(box: ParameterBox, design, targets, noise_diag=None) -> GpModel:
     """Fit the lengthscale by maximizing the log marginal likelihood;
     `noise_diag=None` is a deterministic surrogate's zero noise.
 
-    The search evaluates 50 log-spaced candidates over LENGTHSCALE_BOUNDS,
-    then refines the best one by golden-section search.
+    The search evaluates 50 log-spaced candidates over LENGTHSCALE_BOUNDS, then refines
+    the best one by golden section, each step one public log_marginal_likelihood call.
     """
     design = np.atleast_2d(_finite("design", design))
     targets = _finite("targets", targets)
     n = design.shape[0]
     if n < 2:
         raise ValueError("need at least 2 design points to fit")
-    if noise_diag is None:
-        noise_diag = np.zeros(n)
-    noise_diag = _finite("noise_diag", noise_diag)
+    noise_diag = _finite("noise_diag", np.zeros(n) if noise_diag is None else noise_diag)
     if noise_diag.shape != (n,):
         raise ValueError("noise_diag length must match design size")
 
     unit = box.to_unit(design)
-
-    def lml(l):
-        return log_marginal_likelihood(unit, targets, noise_diag, l)
-
     vals = _grid_lml(unit, targets, noise_diag, _GRID)
     if not np.any(np.isfinite(vals)):
         raise ModelFitError("log marginal likelihood is -inf over the whole grid")
     best = int(np.argmax(vals))
-    g_lo = _GRID[max(best - 1, 0)]
-    g_hi = _GRID[min(best + 1, _GRID.size - 1)]
-    return model_at(box, design, targets, noise_diag, _golden_section(lml, g_lo, g_hi))
+    lengthscale = _golden_section(lambda l: log_marginal_likelihood(unit, targets, noise_diag, l),
+                                  _GRID[max(best - 1, 0)], _GRID[min(best + 1, _GRID.size - 1)])
+    return _model(box, design, targets, noise_diag, unit, lengthscale, 1e-10)
 
 
 def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
@@ -262,9 +261,12 @@ def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
     if not jitter >= 0:
         raise ValueError("jitter must be non-negative")
     design = np.atleast_2d(_finite("design", design))
-    targets = _finite("targets", targets)
-    noise_diag = _finite("noise_diag", noise_diag)
-    unit = box.to_unit(design)
+    return _model(box, design, _finite("targets", targets), _finite("noise_diag", noise_diag),
+                  box.to_unit(design), lengthscale, jitter)
+
+
+def _model(box, design, targets, noise_diag, unit, lengthscale, jitter) -> GpModel:
+    """model_at on inputs already checked, with unit = box.to_unit(design)."""
     base = _system(unit, noise_diag, lengthscale)
     while jitter <= 1e-4:
         L = _factor(_plus_diagonal(base.copy(), jitter))
@@ -273,9 +275,9 @@ def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
         jitter = max(10.0 * jitter, 1e-10)  # a zero start escalates too
     else:
         raise ModelFitError("kernel system not positive definite after jitter escalation")
-    inv_width, l2 = 1.0 / box.width, lengthscale**2
+    inv_width, l2, chol_f = 1.0 / box.width, lengthscale**2, np.asfortranarray(L)
     return GpModel(box, design, targets, noise_diag, lengthscale, jitter, unit,
-                   L, _cho_solve(L, targets), np.asfortranarray(L), inv_width,
+                   L, _cho_solve(chol_f, targets), chol_f, inv_width,
                    -2.0 * inv_width, -(2.0 * l2), -l2)
 
 

@@ -170,7 +170,7 @@ class TestConfigValidation:
                            problem_params={"infection_real": 0.5}, macro_reps=1)
         cfg["output"].update(long=str(tmp_path / "long.csv"),
                              aggregate=str(tmp_path / "agg.csv"))
-        assert main([command, _write(tmp_path, cfg)]) == EXIT_RUNTIME
+        assert main([command, _write(tmp_path, cfg)]) == EXIT_CONFIG
         assert "infection_real" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 

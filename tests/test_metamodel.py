@@ -9,9 +9,11 @@ from rootcal.core import ParameterBox
 from rootcal.metamodel import (
     LENGTHSCALE_BOUNDS,
     _cho_solve,
+    _factor,
     _golden_section,
     _grid_lml,
     _kernel_vector,
+    _lml,
     _plus_diagonal,
     _tri_solve,
     fit,
@@ -241,6 +243,30 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             fit(box, design, targets, noise)
 
+    @pytest.mark.parametrize("jitter", [np.nan, np.inf])
+    def test_lml_rejects_non_finite_jitter_naming_it(self, jitter):
+        box, design, targets, noise = _random_problem(18, noise_scale=0.1)
+        with pytest.raises(ValueError, match="^jitter must be finite") as info:
+            log_marginal_likelihood(box.to_unit(design), targets, noise, 0.4, jitter)
+        assert str(jitter) in str(info.value)
+
+    def test_lml_rejects_infinite_unit_design_naming_it(self):
+        box, design, targets, noise = _random_problem(19, noise_scale=0.1)
+        unit = box.to_unit(design)
+        unit[4, 1] = np.inf
+        with pytest.raises(ValueError, match="^unit_design must be finite") as info:
+            log_marginal_likelihood(unit, targets, noise, 0.4)
+        assert "inf" in str(info.value)
+
+    @pytest.mark.parametrize("which", ["design", "targets", "noise_diag"])
+    def test_fit_rejects_nan_naming_the_input(self, which):
+        box, design, targets, noise = _random_problem(21, noise_scale=0.1)
+        inputs = {"design": design.copy(), "targets": targets.copy(), "noise_diag": noise.copy()}
+        inputs[which][1] = np.nan
+        with pytest.raises(ValueError, match=f"^{which} must be finite") as info:
+            fit(box, inputs["design"], inputs["targets"], inputs["noise_diag"])
+        assert "nan" in str(info.value)
+
     @pytest.mark.parametrize("noise", [0.0, [0.0], [0.01], np.zeros(2), np.zeros((3, 3))])
     def test_noise_not_one_per_point_raises(self, noise):
         # a scalar or length-1 noise used to be taken by np.diag or broadcast
@@ -376,6 +402,41 @@ class TestFitEqualsReference:
                                  [0.3, -0.2, 0.5], [0.0, -0.5, 0.0])
         assert np.sum(np.isfinite(vals)) == 19
         assert np.sum(vals == -np.inf) == 31
+
+
+def _candidate_lmls(unit, targets, noise, grid):
+    """Each candidate's LML from its own system, factored and solved alone."""
+    n = len(targets)
+    systems = (kernel_matrix(unit, unit, l) + np.diag(noise) + 1e-10 * np.eye(n) for l in grid)
+    return np.array([_lml(_factor(system), targets) for system in systems])
+
+
+class TestGridEqualsPerCandidate:
+    """The stacked grid equals _lml(np.linalg.cholesky(system), targets) for each
+    candidate, byte for byte (through _factor, whose None gives -inf): the
+    invariant the stacked log-determinants and quadratic terms rest on."""
+
+    GRID = np.geomspace(*LENGTHSCALE_BOUNDS, 50)
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(22)
+        for dim in (1, 2, 3, 4):
+            for n in range(2, 16):
+                for noise_scale in (0.0, 0.05):
+                    unit = rng.random((n, dim))
+                    targets = rng.normal(size=n)
+                    noise = rng.uniform(0.0, noise_scale, n) if noise_scale else np.zeros(n)
+                    got = _grid_lml(unit, targets, noise, self.GRID)
+                    want = _candidate_lmls(unit, targets, noise, self.GRID)
+                    assert np.all(np.isfinite(got))  # the stacked path, not the fallback
+                    assert got.tobytes() == want.tobytes(), (dim, n, noise_scale)
+
+    def test_grid_mixing_finite_and_neg_inf(self):
+        unit, targets = np.array([[0.1], [0.5], [0.9]]), np.array([0.3, -0.2, 0.5])
+        noise = np.array([0.0, -0.5, 0.0])
+        got = _grid_lml(unit, targets, noise, self.GRID)
+        assert np.any(np.isfinite(got)) and np.any(got == -np.inf)
+        assert got.tobytes() == _candidate_lmls(unit, targets, noise, self.GRID).tobytes()
 
 
 def test_kernel_vector_equals_kernel_matrix_row():
