@@ -1,10 +1,14 @@
 """Multi-start box-constrained maximization/minimization of acquisition surfaces.
 
 A small projected limited-memory quasi-Newton loop with backtracking line
-search, run from all starts in lockstep: positions, gradients, the L-BFGS
-history, the stopping test, the direction and the line-search trials are
-array operations over the starts, and each start makes the decisions, to
-the bit, that it would make searching alone.  Descent is judged on the part
+search.  On two or more axes it runs from all starts in lockstep:
+positions, gradients, the L-BFGS history, the stopping test, the direction
+and the line-search trials are array operations over the starts, and each
+start makes the decisions, to the bit, that it would make searching alone.
+On one axis, where a lockstep iteration's ~100 numpy calls outweigh the
+search, the starts run one after another in Python floats with the same
+decisions to the bit; on more axes a float dot product would round apart
+from the BLAS one, so those keep the lockstep.  Descent is judged on the part
 of the direction that projection keeps, as projected quasi-Newton methods
 require (Bertsekas 1982; Byrd, Lu, Nocedal and Zhu 1995); where that part
 does not descend, the step is steepest descent.
@@ -80,6 +84,65 @@ def _project(x, lower, upper):
 
 
 def _local_searches(f, x0, lower, upper, sign=1.0):
+    """`_lockstep_searches`, run start by start in Python floats on a
+    one-axis box by `_one_axis_searches`."""
+    search = _one_axis_searches if x0.shape[1] == 1 else _lockstep_searches
+    return search(f, x0, lower, upper, sign)
+
+
+def _clamp(x, lo, hi):
+    """`_project` on one float: NaN passes, and a tie gives the bound."""
+    x = lo if x <= lo else x
+    return hi if x >= hi else x
+
+
+def _one_axis_searches(f, x0, lower, upper, sign):
+    """`_lockstep_searches` on a one-axis box, one start after another in
+    Python floats, with each of its calls, gradient requests and decisions:
+    each `_rowdot` is one product added to 0.0, as matmul sums it."""
+    lo, hi, steps = float(lower[0]), float(upper[0]), STEPS.tolist()
+    xs, vals = [], []
+    for start in x0[:, 0].tolist():
+        x = _clamp(start, lo, hi)
+        value, gradient = f(np.array([x]))
+        val, pairs, g = sign * float(value), [], None
+        for iteration in range(ITERS):
+            if gradient is None or not math.isfinite(val):
+                break
+            g, g_prev = float(gradient()[0]) * sign, g
+            if iteration:  # (s, y, 1 / s'y), with rho None where _pair skips the pair
+                s, y = x - x_prev, g - g_prev
+                sy, yy = 0.0 + s * y, 0.0 + y * y
+                pairs = (pairs + [(s, y, None if sy <= 1e-12 else 1.0 / sy)])[-MEMORY:]
+                gamma = max(sy / yy if yy > 1e-12 else 1.0, 1e-12)  # NaN passes
+            proj_grad = _clamp(x - g, lo, hi) - x
+            if math.sqrt(proj_grad * proj_grad) < CONVERGENCE_TOL:
+                break
+            q, alphas, applied = g, [], [p for p in pairs if p[2] is not None]
+            for s, y, rho in reversed(applied):  # _lbfgs_direction's two loops
+                alphas.append(rho * (0.0 + s * q))
+                q = q - alphas[-1] * y
+            q = q * gamma if pairs else q
+            for (s, y, rho), a in zip(applied, reversed(alphas)):
+                q = q + (a - rho * (0.0 + y * q)) * s
+            d = -q
+            kept = 0.0 if (x <= lo and d < 0) or (x >= hi and d > 0) else d
+            d = -g if 0.0 + kept * g >= 0 else d
+            x_prev, gradient = x, None
+            for step in steps:
+                trial = _clamp(x_prev + step * d, lo, hi)
+                val_new, grad_new = f(np.array([trial]))
+                val_new *= sign
+                bound = val + SUFFICIENT_DECREASE * (0.0 + g * (trial - x_prev))
+                if math.isfinite(val_new) and val_new <= bound:
+                    x, val, gradient = trial, float(val_new), grad_new
+                    break
+        xs.append(x)
+        vals.append(val)
+    return np.array(xs, dtype=float)[:, None], np.array(vals, dtype=float)
+
+
+def _lockstep_searches(f, x0, lower, upper, sign):
     """A local search from each row of `x0`, all advanced together, that
     minimizes `sign` times `f`: each start's final iterate and signed value,
     row for row.  A start leaves when its value is not finite, its gradient

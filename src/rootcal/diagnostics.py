@@ -115,7 +115,7 @@ def validate_gradients(cases: int, rng: RngStream, fd_step: float = 1e-5) -> dic
     Deterministic per rng.
     """
     if cases < 1:
-        raise ValueError("cases must be >= 1")
+        raise ValueError(f"cases must be >= 1, got {cases}")
     gen = rng.generator()
     worst = {kind: 0.0 for kind in ALL_ACQ_KINDS}
     for _ in range(cases):

@@ -71,9 +71,11 @@ class RunConfig:
 
     def __post_init__(self):
         if self.p_init < 2:
-            raise ValueError("p_init must be >= 2")
-        if self.budget < 0 or self.reps_per_point < 1:
-            raise ValueError("invalid budget or replication count")
+            raise ValueError(f"p_init must be >= 2, got {self.p_init}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if self.reps_per_point < 1:
+            raise ValueError(f"reps_per_point must be >= 1, got {self.reps_per_point}")
         if self.post_reps < 2:
             raise ValueError(f"post_reps must be >= 2, got {self.post_reps}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -116,7 +118,7 @@ def observation_model(problem: str, problem_params: dict | None, seed: int,
 def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
     """Latin hypercube sample: p strata per axis, one uniform draw each."""
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise ValueError(f"p must be >= 2, got {p}")
     gen = rng.generator()
     points = np.empty((p, box.dim))
     for axis in range(box.dim):
@@ -149,7 +151,7 @@ def evaluate_point(model: SimulationModel, theta, reps: int,
     """Draw `reps` independent residual samples at theta from one generator
     and summarize them."""
     if reps < 1:
-        raise ValueError("reps must be >= 1")
+        raise ValueError(f"reps must be >= 1, got {reps}")
     return summarize(theta, draw_checked(model, theta, rng.generator(), reps))
 
 
@@ -157,7 +159,7 @@ def post_evaluate(model: SimulationModel, theta, post_reps: int,
                   rng: RngStream) -> tuple[float, float]:
     """Fresh estimate of the squared-discrepancy objective with a 95% CI half-width."""
     if post_reps < 2:
-        raise ValueError("post_reps must be >= 2")
+        raise ValueError(f"post_reps must be >= 2, got {post_reps}")
     vals = aggregate_squared(draw_checked(model, theta, rng.generator(), post_reps))
     ci_half = 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
     return float(vals.mean()), ci_half
@@ -256,7 +258,7 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     replications.
     """
     if design_size < 2:
-        raise ValueError("design_size must be >= 2")
+        raise ValueError(f"design_size must be >= 2, got {design_size}")
     sim = RootlessQuadratic(eps=eps)
     design = np.linspace(-1.0, 1.0, design_size)[:, None]
     base = RngStream(seed).child(rep)
@@ -334,7 +336,7 @@ def macro_sweep(problem: str, problem_params: dict, configs, macro_reps: int,
     the method comparison is never silently unpaired.
     """
     if macro_reps < 1:
-        raise ValueError("macro_reps must be >= 1")
+        raise ValueError(f"macro_reps must be >= 1, got {macro_reps}")
     tasks = [(problem, problem_params, cfg, r)
              for cfg in configs for r in range(macro_reps)]
     if workers > 1:

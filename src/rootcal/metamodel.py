@@ -259,7 +259,7 @@ def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
              jitter: float = 1e-10) -> GpModel:
     """Build a model at a fixed lengthscale, escalating jitter x10 up to 1e-4."""
     if not jitter >= 0:
-        raise ValueError("jitter must be non-negative")
+        raise ValueError(f"jitter must be non-negative, got {jitter}")
     design = np.atleast_2d(_finite("design", design))
     return _model(box, design, _finite("targets", targets), _finite("noise_diag", noise_diag),
                   box.to_unit(design), lengthscale, jitter)

@@ -70,6 +70,6 @@ def sign_change_prob(post_a: Posterior, post_b: Posterior) -> float:
 def rss_stochastic(design, posteriors, alpha: float) -> Subregion | None:
     """Smallest subregion among pairs with sign-change probability >= alpha."""
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     p = _sign_change_probs(posteriors)
     return _smallest_pair(design, np.where(p >= alpha, 1.0 - p, np.inf))

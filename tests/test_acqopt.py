@@ -205,6 +205,15 @@ class TestProjection:
                 want = np.clip(x, lower, upper)
                 assert _project(x, lower, upper).tobytes() == want.tobytes()
 
+    def test_one_axis_clamp_matches_project_bytes(self):
+        """Also on signed zeros, where np.maximum and np.minimum give their
+        second argument on a tie and Python's max and min their first."""
+        values = [0.0, -0.0, 1.0, -1.0, 0.5, -5.0, 7.0, np.inf, -np.inf, np.nan]
+        for lo, hi in ((0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-1.0, 1.0)):
+            for x in values:
+                want = _project(np.array([x]), np.array([lo]), np.array([hi]))
+                assert np.float64(acqopt._clamp(x, lo, hi)).tobytes() == want.tobytes()
+
     def test_optimize_matches_clip_form_bit_for_bit(self, monkeypatch):
         def run():
             return [optimize(f, box, RngStream(seed), maximize=maximize)
@@ -605,6 +614,38 @@ class TestLockstep:
                 if kind == "value" and point not in starts
                 and _mark(np.frombuffer(point)) % 7 == 0)
         assert min(counts.values()) > 0, counts
+
+    def test_one_axis_path_matches_the_lockstep(self, monkeypatch):
+        """On each one-axis surface, as it is and flaky, the start-by-start
+        float search gives the lockstep's (x, value) for each start, byte for
+        byte, and the same objective calls and gradient requests by point.
+        The lockstep skips pairs on the negative-curvature bowl."""
+        skipped, pair = [], acqopt._pair
+
+        def recording(s, y, live):
+            skipped.extend(_rowdot(s, y)[live] <= 1e-12)
+            return pair(s, y, live)
+
+        monkeypatch.setattr(acqopt, "_pair", recording)
+        surfaces = list(_surfaces()) + list(_curvature_surfaces())
+        runs = non_finite = 0
+        for seed, (box, objective, maximize) in enumerate(surfaces):
+            if box.dim != 1:
+                continue
+            gen = RngStream(seed).generator()
+            x0 = box.lower + gen.random((acqopt.STARTS, 1)) * box.width
+            for f in (objective, _flaky(objective)):
+                results = []
+                for search in (acqopt._lockstep_searches, acqopt._one_axis_searches):
+                    calls = collections.Counter()
+                    xs, vals = search(_counted(f, calls), x0, box.lower, box.upper,
+                                      -1.0 if maximize else 1.0)
+                    results.append((_as_bytes(zip(xs, vals)), calls))
+                assert results[1] == results[0]
+                runs += 1
+                non_finite += int(np.sum(~np.isfinite(vals)))
+        assert runs == 20 and non_finite > 0
+        assert any(skipped) and not all(skipped)
 
     def test_face_test_beats_the_old_descent_test(self, himmelblau_surfaces):
         """On the 80 himmelblau2d surfaces, judging descent only on the part

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from rootcal.acquisition import AcqKind, Family, Mode
 from rootcal.core import ParameterBox, RngStream
+from rootcal.diagnostics import validate_gradients
 from rootcal.engine import (
     OBS_KEY,
     RunConfig,
@@ -14,6 +17,8 @@ from rootcal.engine import (
     rootless_table,
     run_calibration,
 )
+from rootcal.metamodel import model_at
+from rootcal.rss import rss_stochastic
 from rootcal.simulators import RootlessQuadratic, SimulationModel, make_model
 
 
@@ -424,3 +429,28 @@ class TestRootless:
     def test_table_needs_a_seed(self, n_seeds):
         with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got {n_seeds}"):
             rootless_table(10.0, [5], seed=0, n_seeds=n_seeds)
+
+
+# (argument, bad value, call): each check names its argument and the value it got
+_BAD_COUNTS_AND_LEVELS = [
+    ("p_init", 1, lambda: _config(p_init=1)),
+    ("budget", -1, lambda: _config(budget=-1)),
+    ("reps_per_point", 0, lambda: _config(reps_per_point=0)),
+    ("p", 1, lambda: initial_design(ParameterBox([0.0], [1.0]), 1, RngStream(0))),
+    ("reps", 0, lambda: evaluate_point(RootlessQuadratic(eps=1.0), [0.0], 0, RngStream(0))),
+    ("post_reps", 1,
+     lambda: post_evaluate(RootlessQuadratic(eps=1.0), [0.0], 1, RngStream(0))),
+    ("design_size", 1, lambda: rootless_differences(1.0, 1, seed=0)),
+    ("macro_reps", 0, lambda: macro_sweep("mm1", {}, [_config()], 0)),
+    ("alpha", 1.5, lambda: rss_stochastic(np.zeros((0, 1)), [], 1.5)),
+    ("cases", 0, lambda: validate_gradients(0, RngStream(0))),
+    ("jitter", -1.0, lambda: model_at(ParameterBox([0.0], [1.0]), [[0.2], [0.8]],
+                                      [0.0, 1.0], [0.0, 0.0], 0.3, jitter=-1.0)),
+]
+
+
+@pytest.mark.parametrize("name,value,call", _BAD_COUNTS_AND_LEVELS,
+                         ids=[case[0] for case in _BAD_COUNTS_AND_LEVELS])
+def test_bad_count_or_level_fails_naming_it_and_its_value(name, value, call):
+    with pytest.raises(ValueError, match=f"^{name} must .*, got {re.escape(str(value))}$"):
+        call()

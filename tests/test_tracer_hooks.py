@@ -40,40 +40,43 @@ def test_each_objective_call_crosses_every_layer(monkeypatch):
     """Every acquisition objective call is one posterior span, filed under the
     objective, and one acq_value span; each gradient the optimizer asks for is
     one posterior_grad and one acq_gradient span, never at a degenerate point.
-    A fused call that hid a layer from the tracer would show here."""
+    A fused call that hid a layer from the tracer would show here.  The runs
+    cover both optimizer paths: two axes (himmelblau2d) search in lockstep,
+    one axis (mm1) start by start."""
     from dataclasses import replace
 
     from rootcal import AcqKind, Family, Mode, RngStream, engine, make_model
     from rootcal.engine import OBS_KEY, RunConfig, run_calibration
 
     # calibrations rarely meet a degenerate std, so every seventh call reports one
-    calls, posterior = [], engine.posterior
+    posteriors, posterior = [], engine.posterior
 
     def sometimes_degenerate(model, theta):
-        calls.append(None)
+        posteriors.append(None)
         post = posterior(model, theta)
-        return replace(post, var=0.0) if len(calls) % 7 == 0 else post
+        return replace(post, var=0.0) if len(posteriors) % 7 == 0 else post
 
     monkeypatch.setattr(engine, "posterior", sometimes_degenerate)
-    tracer = _load_tracer().Tracer()
-    for stochastic, acq in ((True, AcqKind(Family.EI, Mode.ROOT)),
-                            (False, AcqKind(Family.LCB, Mode.MIN))):
+    for problem, stochastic, acq in (("himmelblau2d", True, AcqKind(Family.EI, Mode.ROOT)),
+                                     ("himmelblau2d", False, AcqKind(Family.LCB, Mode.MIN)),
+                                     ("mm1", True, AcqKind(Family.EI, Mode.ROOT))):
         cfg = RunConfig(stochastic=stochastic, acq=acq, use_rss=stochastic, budget=2,
                         reps_per_point=3, post_reps=20)
-        sim = make_model("himmelblau2d", RngStream(0).child(0).child(OBS_KEY))
+        sim = make_model(problem, RngStream(0).child(0).child(OBS_KEY))
+        tracer = _load_tracer().Tracer()
         try:
             tracer.install()
             run_calibration(sim, cfg)
         finally:
             tracer.restore()
-    calls = tracer.totals()[0]
-    objective, degenerate = calls["acqopt.objective"], tracer.counts["acqopt.degenerate"]
-    assert objective > 0 and degenerate > 0
-    assert tracer.counts["metamodel.posterior.objective"] == objective
-    assert calls["acquisition.acq_value"] == objective
-    gradients = calls["metamodel.posterior_grad"]
-    assert calls["acquisition.acq_gradient"] == gradients
-    assert 0 < gradients <= objective - degenerate
+        calls = tracer.totals()[0]
+        objective, degenerate = calls["acqopt.objective"], tracer.counts["acqopt.degenerate"]
+        assert objective > 0 and degenerate > 0, problem
+        assert tracer.counts["metamodel.posterior.objective"] == objective, problem
+        assert calls["acquisition.acq_value"] == objective, problem
+        gradients = calls["metamodel.posterior_grad"]
+        assert calls["acquisition.acq_gradient"] == gradients, problem
+        assert 0 < gradients <= objective - degenerate, problem
 
 
 def test_golden_section_evaluates_through_the_public_lml(monkeypatch):
