@@ -44,9 +44,9 @@ GRADIENT_TOL = 1e-4
 _METHOD_SCHEMA = {
     "type": "object",
     "properties": {
-        "mode": {"enum": ["min", "root"]},
+        "mode": {"enum": [m.value for m in Mode]},
         "surrogate": {"enum": ["deterministic", "stochastic"]},
-        "acq": {"enum": ["lcb", "pi", "ei"]},
+        "acq": {"enum": [f.value for f in Family]},
         "rss": {"type": "boolean"},
         "kappa": {"type": "number", "exclusiveMinimum": 0},
     },

@@ -18,17 +18,12 @@ from . import rss as rss_mod
 from .acqopt import optimize
 from .acquisition import (
     AcqKind,
+    Family,
     Incumbent,
     Mode,
     acq_gradient,
     acq_value,
     design_posteriors,
-    ei,
-    lcb,
-    pi,
-    rf_ei,
-    rf_lcb,
-    rf_pi,
     select_incumbent,
 )
 from .core import ObservationSummary, ParameterBox, RngStream, aggregate_squared, summarize
@@ -140,7 +135,7 @@ def draw_checked(model: SimulationModel, theta, gen, reps: int) -> np.ndarray:
     if not model.box.contains(point):
         raise ValueError(f"{where} is outside the box "
                          f"[{model.box.lower.tolist()}, {model.box.upper.tolist()}]")
-    draws = model.draw(theta, gen, reps)
+    draws = model.draw(point, gen, reps)
     if not np.all(np.isfinite(draws)):
         raise ValueError(f"{where} gave a non-finite draw")
     return draws
@@ -278,15 +273,18 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     grid_means = kernel_matrix(grid, model.unit_design, model.lengthscale) @ model.alpha
     mean_positive = bool(np.all(grid_means > 0.0))
 
-    lcb_diff = abs(rf_lcb(post, 1.0) - lcb(post, 1.0))
+    def value(family, mode, at=inc):
+        return acq_value(AcqKind(family, mode), post, at)
+
+    lcb_diff = abs(value(Family.LCB, Mode.ROOT) - value(Family.LCB, Mode.MIN))
     if eps >= 1.0:
-        pi_diff = abs(rf_pi(post, inc) - pi(post, v_min))
-        ei_diff = abs(rf_ei(post, inc) - ei(post, v_min))
+        pi_diff = abs(value(Family.PI, Mode.ROOT) - value(Family.PI, Mode.MIN, v_min))
+        ei_diff = abs(value(Family.EI, Mode.ROOT) - value(Family.EI, Mode.MIN, v_min))
     else:
         pi_diff = float(log_ndtr((-abs(inc.value) - post.mean) / post.std))
         phi0 = 1.0 / np.sqrt(2.0 * np.pi)
-        ei_diff = abs(rf_ei(post, inc)
-                      - (2.0 * ei(post, v_min) - 2.0 * post.std * phi0))
+        ei_diff = abs(value(Family.EI, Mode.ROOT)
+                      - (2.0 * value(Family.EI, Mode.MIN, v_min) - 2.0 * post.std * phi0))
     return {
         "design_size": design_size,
         "lcb_diff": float(lcb_diff),

@@ -31,7 +31,6 @@ __all__ = [
     "Posterior",
     "PosteriorGrad",
     "ModelFitError",
-    "DegenerateStdError",
     "STD_FLOOR",
     "fit",
     "kernel_matrix",
@@ -49,10 +48,6 @@ _LOG_2PI = np.log(2 * np.pi)
 
 class ModelFitError(RuntimeError):
     """Kernel system could not be factorized even after jitter escalation."""
-
-
-class DegenerateStdError(RuntimeError):
-    """Posterior std below the degeneracy floor; caller should use limit forms."""
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,16 @@ class Subregion:
     pair: tuple
 
 
-def _smallest_pair(design, weight) -> Subregion | None:
+def _smallest_pair(design, weight, what: str) -> Subregion | None:
     """Smallest weighted-volume pair subregion; ties keep the first pair in (a, b) order.
 
     `weight[a, b]` scales the pair's floored hypervolume, and is inf where
-    the pair is not a candidate.
+    the pair is not a candidate.  It is built from one of `what` per design
+    point, and ValueError names both counts when they differ.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
+    if len(weight) != len(design):
+        raise ValueError(f"{len(weight)} {what} for {len(design)} design points")
     a, b = np.nonzero(np.triu(weight < np.inf, 1))  # the candidates, in (a, b) order
     if not a.size:
         return None
@@ -48,7 +51,8 @@ def rss_deterministic(design, signed_values) -> Subregion | None:
     """Smallest sign-changing subregion over all design pairs, or None."""
     f = np.asarray(signed_values, dtype=float)
     return _smallest_pair(
-        design, np.where(np.multiply.outer(f, f) < 0, np.abs(np.subtract.outer(f, f)), np.inf))
+        design, np.where(np.multiply.outer(f, f) < 0, np.abs(np.subtract.outer(f, f)), np.inf),
+        "signed values")
 
 
 def _sign_change_probs(posteriors) -> np.ndarray:
@@ -72,4 +76,4 @@ def rss_stochastic(design, posteriors, alpha: float) -> Subregion | None:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     p = _sign_change_probs(posteriors)
-    return _smallest_pair(design, np.where(p >= alpha, 1.0 - p, np.inf))
+    return _smallest_pair(design, np.where(p >= alpha, 1.0 - p, np.inf), "posteriors")

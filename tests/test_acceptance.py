@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from rootcal.acquisition import AcqKind, Family, Incumbent, Mode, rf_ei, rf_pi
+from rootcal.acquisition import AcqKind, Family, Incumbent, Mode, acq_value
 from rootcal.cli import EXIT_OK, main
 from rootcal.core import ParameterBox, RngStream, aggregate_squared
 from rootcal.diagnostics import chain_check, validate_gradients
@@ -109,13 +109,13 @@ def test_criterion_3_acquisition_monte_carlo_oracles():
 
         # binomial standard errors come from the analytical probability so
         # that near-zero probabilities (all draws miss) stay well posed
-        want = rf_pi(post, inc)
+        want = acq_value(AcqKind(Family.PI, Mode.ROOT), post, inc)
         se = np.sqrt(want * (1 - want) / n)
         assert abs(want - np.mean(np.abs(draws) < abs(v))) <= 3 * se
 
         gains = np.maximum(0.0, abs(v) - np.abs(draws))
         se = max(gains.std(ddof=1) / np.sqrt(n), 1e-7)
-        assert abs(rf_ei(post, inc) - gains.mean()) <= 3 * se
+        assert abs(acq_value(AcqKind(Family.EI, Mode.ROOT), post, inc) - gains.mean()) <= 3 * se
 
         mu_b = float(rng.normal(0.0, 1.0))
         sigma_b = float(rng.uniform(0.05, 1.5))

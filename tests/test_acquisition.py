@@ -12,12 +12,6 @@ from rootcal.acquisition import (
     acq_gradient,
     acq_value,
     design_posteriors,
-    ei,
-    lcb,
-    pi,
-    rf_ei,
-    rf_lcb,
-    rf_pi,
     select_incumbent,
 )
 from rootcal.core import ParameterBox
@@ -32,6 +26,7 @@ from rootcal.metamodel import (
 
 
 KINDS = [AcqKind(family, mode) for family in Family for mode in Mode]
+MIN_LCB, ROOT_LCB, MIN_PI, ROOT_PI, MIN_EI, ROOT_EI = KINDS
 
 
 def _phi(z):
@@ -41,60 +36,87 @@ def _phi(z):
 class TestClosedForms:
     def test_lcb_hand_values(self):
         post = Posterior(mean=2.0, var=4.0)
-        assert lcb(post, 1.0) == 0.0
-        assert rf_lcb(Posterior(mean=-2.0, var=4.0), 1.0) == 0.0
+        assert acq_value(MIN_LCB, post, None) == 0.0
+        assert acq_value(ROOT_LCB, Posterior(mean=-2.0, var=4.0), None) == 0.0
 
     def test_pi_hand_value(self):
         post = Posterior(mean=0.0, var=1.0)
-        assert pi(post, Incumbent(0, 1.0)) == pytest.approx(ndtr(1.0))
+        assert acq_value(MIN_PI, post, Incumbent(0, 1.0)) == pytest.approx(ndtr(1.0))
 
     def test_rf_pi_is_interval_probability(self):
         post = Posterior(mean=0.5, var=0.25)
         inc = Incumbent(0, -0.8)
         want = ndtr((0.8 - 0.5) / 0.5) - ndtr((-0.8 - 0.5) / 0.5)
-        assert rf_pi(post, inc) == pytest.approx(want)
+        assert acq_value(ROOT_PI, post, inc) == pytest.approx(want)
 
     def test_ei_hand_value(self):
         post = Posterior(mean=0.0, var=1.0)
         v = 0.3
         z = v
         want = v * ndtr(z) + _phi(z)
-        assert ei(post, Incumbent(0, v)) == pytest.approx(want)
+        assert acq_value(MIN_EI, post, Incumbent(0, v)) == pytest.approx(want)
 
     def test_rf_ei_symmetric_in_mean_sign(self):
         inc = Incumbent(0, 0.4)
-        a = rf_ei(Posterior(mean=0.7, var=0.09), inc)
-        b = rf_ei(Posterior(mean=-0.7, var=0.09), inc)
+        a = acq_value(ROOT_EI, Posterior(mean=0.7, var=0.09), inc)
+        b = acq_value(ROOT_EI, Posterior(mean=-0.7, var=0.09), inc)
         assert a == pytest.approx(b)
 
     def test_limit_forms_at_degenerate_std(self):
         post = Posterior(mean=0.5, var=0.0)
-        assert pi(post, Incumbent(0, 1.0)) == 1.0
-        assert pi(post, Incumbent(0, 0.2)) == 0.0
-        assert rf_pi(post, Incumbent(0, 0.8)) == 1.0
-        assert ei(post, Incumbent(0, 1.0)) == 0.5
-        assert rf_ei(post, Incumbent(0, 0.8)) == pytest.approx(0.3)
-        assert rf_ei(post, Incumbent(0, 0.2)) == 0.0
+        assert acq_value(MIN_PI, post, Incumbent(0, 1.0)) == 1.0
+        assert acq_value(MIN_PI, post, Incumbent(0, 0.2)) == 0.0
+        assert acq_value(ROOT_PI, post, Incumbent(0, 0.8)) == 1.0
+        assert acq_value(MIN_EI, post, Incumbent(0, 1.0)) == 0.5
+        assert acq_value(ROOT_EI, post, Incumbent(0, 0.8)) == pytest.approx(0.3)
+        assert acq_value(ROOT_EI, post, Incumbent(0, 0.2)) == 0.0
+
+    def test_gradient_at_degenerate_std_raises_naming_it(self):
+        post = Posterior(mean=0.5, var=0.25 * STD_FLOOR**2)
+        grad = PosteriorGrad(dmean=np.ones(2), dstd=np.ones(2))
+        for kind in KINDS:
+            with pytest.raises(ValueError, match=f"posterior std {post.std} below STD_FLOOR"):
+                acq_gradient(kind, post, grad, Incumbent(0, 1.0))
 
     def test_acquisitions_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             post = Posterior(mean=rng.normal(), var=rng.uniform(0.01, 2.0))
             inc = Incumbent(0, rng.normal())
-            assert pi(post, inc) >= 0.0
-            assert rf_pi(post, inc) >= 0.0
-            assert ei(post, inc) >= 0.0
-            assert rf_ei(post, inc) >= -1e-12
+            assert acq_value(MIN_PI, post, inc) >= 0.0
+            assert acq_value(ROOT_PI, post, inc) >= 0.0
+            assert acq_value(MIN_EI, post, inc) >= 0.0
+            assert acq_value(ROOT_EI, post, inc) >= -1e-12
 
 
 class TestAcqValueDispatch:
     def test_routes_by_family_and_mode(self):
         post = Posterior(mean=0.3, var=0.04)
         inc = Incumbent(0, 0.5)
-        assert acq_value(AcqKind(Family.LCB, Mode.MIN), post, None) == lcb(post, 1.0)
-        assert acq_value(AcqKind(Family.LCB, Mode.ROOT), post, None) == rf_lcb(post, 1.0)
-        assert acq_value(AcqKind(Family.PI, Mode.ROOT), post, inc) == rf_pi(post, inc)
-        assert acq_value(AcqKind(Family.EI, Mode.MIN), post, inc) == ei(post, inc)
+        phi = _phi(1.0)
+        want = {
+            MIN_LCB: 0.3 - 0.2,
+            ROOT_LCB: 0.3 - 0.2,
+            MIN_PI: ndtr(1.0),
+            ROOT_PI: ndtr(1.0) - ndtr(-4.0),
+            MIN_EI: 0.2 * ndtr(1.0) + 0.2 * phi,
+            ROOT_EI: (0.5 * (ndtr(1.0) - ndtr(-4.0)) + 0.3 * (2.0 * ndtr(-1.5) - ndtr(1.0)
+                      - ndtr(-4.0)) - 0.2 * (2.0 * _phi(-1.5) - phi - _phi(-4.0))),
+        }
+        for kind in KINDS:
+            assert acq_value(kind, post, inc) == pytest.approx(want[kind], abs=1e-15), kind
+
+    def test_family_and_mode_strings_are_coerced(self):
+        post = Posterior(mean=0.3, var=0.04)
+        inc = Incumbent(0, 0.5)
+        assert AcqKind("ei", "root") == ROOT_EI
+        assert acq_value(AcqKind("ei", "root"), post, inc) == pytest.approx(0.20494, abs=1e-5)
+        assert acq_value(AcqKind("ei", "min"), post, inc) == pytest.approx(0.21666, abs=1e-5)
+        assert acq_value(AcqKind("lcb", "min"), post, None) == pytest.approx(0.1)
+        with pytest.raises(ValueError, match="'ucb'"):
+            AcqKind("ucb", "min")
+        with pytest.raises(ValueError, match="'max'"):
+            AcqKind("ei", "max")
 
     def test_improvement_families_need_incumbent(self):
         post = Posterior(mean=0.0, var=1.0)

@@ -18,6 +18,7 @@ from rootcal.cli import (
     load_config,
     main,
 )
+from rootcal.acquisition import Family, Mode
 from rootcal.simulators import PROBLEMS
 
 BUDGET = 2
@@ -203,10 +204,14 @@ class TestConfigValidation:
 
     def test_problems_and_their_params_are_the_model_table(self):
         """The problem enum and `diagnose --problem` list the model table's
-        names, and problem_params lists every keyword of the table's
-        constructors."""
+        names, problem_params lists every keyword of the table's
+        constructors, and a method's mode and acq enums are `Mode` and
+        `Family`."""
         schema = CONFIG_SCHEMA["properties"]
         assert schema["problem"]["enum"] == list(PROBLEMS)
+        method = schema["methods"]["items"]["properties"]
+        assert method["mode"]["enum"] == [m.value for m in Mode]
+        assert method["acq"]["enum"] == [f.value for f in Family]
         diagnose = build_parser()._subparsers._group_actions[0].choices["diagnose"]
         problem = next(a for a in diagnose._actions if a.dest == "problem")
         assert list(problem.choices) == list(PROBLEMS)

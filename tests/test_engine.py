@@ -9,6 +9,7 @@ from rootcal.diagnostics import validate_gradients
 from rootcal.engine import (
     OBS_KEY,
     RunConfig,
+    draw_checked,
     evaluate_point,
     initial_design,
     macro_sweep,
@@ -185,6 +186,16 @@ class TestInputGuard:
         sim = make_model("sir", RngStream(0))
         for theta in ([0.0], [1.0]):
             evaluate_point(sim, theta, 2, RngStream(0))
+
+    def test_scalar_theta_of_a_one_axis_model_is_drawn_as_checked(self):
+        sim = make_model("mm1", RngStream(0))
+
+        def outputs(theta):
+            return (draw_checked(sim, theta, RngStream(1).generator(), 2).tobytes(),
+                    evaluate_point(sim, theta, 3, RngStream(2)),
+                    post_evaluate(sim, theta, 5, RngStream(3)))
+
+        assert outputs(6.0) == outputs([6.0])
 
 
 def _recommended_indices(sim, cfg, trace, stream_id):

@@ -42,6 +42,12 @@ class TestDeterministic:
         sub = rss_deterministic(design, [1.0, -1.0, 1.0, -1.0])
         assert sub.pair == (0, 1)
 
+    @pytest.mark.parametrize("values", [[1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+    def test_values_must_match_design(self, values):
+        design = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match=f"{len(values)} signed values for 3 design points"):
+            rss_deterministic(design, values)
+
 
 class TestSignChangeProb:
     def test_closed_form(self):
@@ -98,6 +104,12 @@ class TestStochastic:
         neg = Posterior(mean=-float(ndtri(0.99)), var=1.0)
         sub = rss_stochastic(design, [pos, neg, pos], 0.95)
         assert sub.pair == (1, 2)
+
+    def test_posteriors_must_match_design(self):
+        design = np.array([[0.0], [1.0], [2.0]])
+        posts = [Posterior(mean=1.0, var=1e-4), Posterior(mean=-1.0, var=1e-4)]
+        with pytest.raises(ValueError, match="2 posteriors for 3 design points"):
+            rss_stochastic(design, posts, 0.95)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
