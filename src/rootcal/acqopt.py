@@ -47,7 +47,7 @@ class OptimizationError(RuntimeError):
 def _rowdot(a, b):
     """Each row's dot product over the last axis, broadcast over the others,
     byte for byte what `a[i] @ b[i]` gives."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def _pair(s, y, live):

@@ -141,12 +141,17 @@ def _pi_ei(kind: AcqKind, mu: float, sigma: float, inc: Incumbent | None):
 def acq_value(kind: AcqKind, post: Posterior, inc: Incumbent | None) -> float:
     if kind.family is _LCB:
         return (abs(post.mean) if kind.mode is _ROOT else post.mean) - kind.kappa * post.std
-    return _pi_ei(kind, post.mean, post.std, inc)[0]
+    value, partials = _pi_ei(kind, post.mean, post.std, inc)
+    if post.query:
+        post.query[2][0] = (kind, inc, post.mean, post.var, partials)
+    return value
 
 
 def acq_gradient(kind: AcqKind, post: Posterior, grad: PosteriorGrad,
                  inc: Incumbent | None) -> np.ndarray:
-    """Analytical gradient of the named acquisition w.r.t. theta."""
+    """Analytical gradient of the named acquisition w.r.t. theta.  PI and EI reuse
+    the partials `acq_value` left on `post` for the same kind and incumbent and the
+    same mean and variance objects, so the same bits (`==` also matches -0.0, 0.0)."""
     mu, sigma = post.mean, post.std
     if sigma < STD_FLOOR:
         raise ValueError(f"acquisition gradient undefined at posterior std {sigma} "
@@ -154,5 +159,8 @@ def acq_gradient(kind: AcqKind, post: Posterior, grad: PosteriorGrad,
     if kind.family is _LCB:
         return ((np.sign(mu) * grad.dmean if kind.mode is _ROOT else grad.dmean)
                 - kind.kappa * grad.dstd)
-    a_mu, a_sigma = _pi_ei(kind, mu, sigma, inc)[1]
+    memo = post.query[2][0] if post.query else None
+    fresh = not (memo and memo[0] is kind and memo[1] is inc
+                 and memo[2] is post.mean and memo[3] is post.var)
+    a_mu, a_sigma = _pi_ei(kind, mu, sigma, inc)[1] if fresh else memo[4]
     return a_mu * grad.dmean + a_sigma * grad.dstd

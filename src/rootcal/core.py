@@ -49,6 +49,8 @@ class ParameterBox:
 
     def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float)
+        if theta.shape != self.lower.shape and (theta.ndim or self.dim > 1):
+            raise ValueError(f"point {theta.tolist()} does not match the box's {self.dim} axes")
         return bool(np.all(theta >= self.lower - CONTAINS_ATOL)
                     and np.all(theta <= self.upper + CONTAINS_ATOL))
 

@@ -54,7 +54,7 @@ class ModelFitError(RuntimeError):
 class Posterior:
     mean: float
     var: float
-    # (diff, kvec) from the query that made it, which posterior_grad reuses
+    # (diff, kvec) for posterior_grad, and a slot [partials] acq_value fills for acq_gradient
     query: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -169,8 +169,8 @@ def _lml(L, targets) -> float:
     """The log marginal likelihood from the Cholesky factor L of the system; -inf for None."""
     if L is None:
         return -np.inf
-    return float(-0.5 * targets @ _cho_solve(L, targets) - np.add.reduce(np.log(L.diagonal()))
-                 - 0.5 * targets.size * _LOG_2PI)
+    return float((-0.5 * targets).dot(_cho_solve(L, targets))
+                 - np.add.reduce(np.log(L.diagonal())) - 0.5 * targets.size * _LOG_2PI)
 
 
 def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
@@ -294,8 +294,8 @@ def _kernel_vector(model: GpModel, theta) -> tuple[np.ndarray, np.ndarray]:
 def posterior(model: GpModel, theta) -> Posterior:
     diff, kvec = _kernel_vector(model, theta)
     w = _tri_solve(model.chol, kvec)
-    return Posterior(mean=float(kvec @ model.alpha), var=max(1.0 - float(w @ w), 0.0),
-                     query=(diff, kvec))
+    return Posterior(mean=float(kvec.dot(model.alpha)), var=max(1.0 - float(w.dot(w)), 0.0),
+                     query=(diff, kvec, [None]))
 
 
 def posterior_grad(model: GpModel, theta,
@@ -309,10 +309,10 @@ def posterior_grad(model: GpModel, theta,
         post = posterior(model, theta)
     if post.std < STD_FLOOR:
         return post, None
-    diff, kvec = post.query
+    diff, kvec, _ = post.query
     # Jacobian of the kernel vector in unit coordinates, (m_theta, n)
     G = (diff * kvec[:, None]).T / model.neg_l2
     # chain rule of the unit-cube mapping back to original units
-    dmean = model.inv_width * (G @ model.alpha)
-    dvar = model.neg_two_inv_width * (G @ _cho_solve(model.chol_f, kvec))
+    dmean = model.inv_width * G.dot(model.alpha)
+    dvar = model.neg_two_inv_width * G.dot(_cho_solve(model.chol_f, kvec))
     return post, PosteriorGrad(dmean=dmean, dstd=dvar / (2.0 * post.std))

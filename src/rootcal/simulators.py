@@ -78,17 +78,22 @@ def mm1_sojourns(arrival_rate: float, service_rate: float, n_entities: int,
     """``(reps, n_entities)`` sojourn times of a single FIFO server.
 
     All inter-arrival times, then all service times, are drawn entity-major
-    as ``(n_entities, reps)`` arrays, so the Lindley recursion steps over
-    contiguous rows, one entity across all replications at a time.  The
-    sojourns overwrite the inter-arrival times and are returned transposed.
+    as ``(n_entities, reps)`` standard exponential fills scaled in place, so
+    the Lindley recursion steps over contiguous rows, one entity across all
+    replications at a time.  The sojourns overwrite the inter-arrival times
+    and are returned transposed.
     """
-    times = gen.exponential(1.0 / arrival_rate, (n_entities, reps))
-    services = gen.exponential(1.0 / service_rate, (n_entities, reps))
-    wait = np.zeros(reps)
-    for k in range(n_entities):
-        if k > 0:
-            wait = np.maximum(0.0, wait + services[k - 1] - times[k])
-        times[k] = wait + services[k]
+    times = gen.standard_exponential((n_entities, reps))
+    times *= 1.0 / arrival_rate
+    services = gen.standard_exponential((n_entities, reps))
+    services *= 1.0 / service_rate
+    times[:1] = services[:1]  # the first entity does not wait
+    # two scratch rows, as a ufunc writing over its input is slow on one-row arrays
+    gap, wait = np.empty(reps), np.empty(reps)
+    for prev, row, service in zip(times, times[1:], services[1:]):
+        np.subtract(prev, row, out=gap)  # the previous sojourn less the inter-arrival
+        np.maximum(0.0, gap, out=wait)  # is the wait
+        np.add(wait, service, out=row)
     return times.T
 
 

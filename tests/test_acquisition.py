@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from rootcal import acquisition
 from rootcal.acquisition import (
     AcqKind,
     Family,
@@ -275,6 +277,76 @@ class TestGradients:
                 assert gap <= 1e-14 * scale, (kind, post, inc, gap, scale)
                 worst = max(worst, gap)
         assert worst > 0.0  # the forms do differ in rounding, so the check bites
+
+
+class TestReusedPartials:
+    """`acq_gradient` after `acq_value` on one posterior reuses the value's PI/EI
+    partials, and only for the same kind, incumbent, mean and variance."""
+
+    PI_EI = (MIN_PI, ROOT_PI, MIN_EI, ROOT_EI)
+
+    @staticmethod
+    def _case():
+        model = _fd_model(2, 5)
+        theta = np.array([0.3, 0.7])
+        return model, theta, posterior_grad(model, theta)[1], Incumbent(0, -1.1)
+
+    @staticmethod
+    def _fresh(model, theta, kind, grad, inc, **fields):
+        """The gradient at an equal posterior, with `fields` replaced, on which
+        no value was taken."""
+        post = posterior(model, theta)
+        if fields:
+            post = dataclasses.replace(Posterior(mean=post.mean, var=post.var), **fields)
+        return acq_gradient(kind, post, grad, inc).tobytes()
+
+    def test_gradient_after_value_reuses_the_partials(self, monkeypatch):
+        model, theta, grad, inc = self._case()
+        pi_ei = acquisition._pi_ei
+        for kind in self.PI_EI:
+            post = posterior(model, theta)
+            acq_value(kind, post, inc)
+            calls = []
+            monkeypatch.setattr(acquisition, "_pi_ei",
+                                lambda *args: calls.append(args) or pi_ei(*args))
+            got = acq_gradient(kind, post, grad, inc).tobytes()
+            monkeypatch.undo()
+            assert calls == [], kind
+            assert got == self._fresh(model, theta, kind, grad, inc), kind
+
+    @pytest.mark.parametrize("field", ["var", "mean"])
+    def test_replaced_posterior_recomputes(self, field):
+        model, theta, grad, inc = self._case()
+        for kind in self.PI_EI:
+            post = posterior(model, theta)
+            acq_value(kind, post, inc)
+            fields = {field: {"var": 4.0 * post.var, "mean": post.mean + 0.5}[field]}
+            moved = dataclasses.replace(post, **fields)
+            assert moved.query is post.query  # the slot acq_value filled
+            want = self._fresh(model, theta, kind, grad, inc, **fields)
+            assert want != acq_gradient(kind, post, grad, inc).tobytes()
+            assert acq_gradient(kind, moved, grad, inc).tobytes() == want, kind
+
+    def test_other_incumbent_recomputes(self):
+        model, theta, grad, inc = self._case()
+        other = Incumbent(1, 0.6)
+        for kind in self.PI_EI:
+            post = posterior(model, theta)
+            acq_value(kind, post, inc)
+            want = self._fresh(model, theta, kind, grad, other)
+            assert want != self._fresh(model, theta, kind, grad, inc)
+            assert acq_gradient(kind, post, grad, other).tobytes() == want, kind
+
+    def test_other_kind_recomputes(self):
+        model, theta, grad, inc = self._case()
+        for kind in self.PI_EI:
+            for other in self.PI_EI:
+                if other is kind:
+                    continue
+                post = posterior(model, theta)
+                acq_value(kind, post, inc)
+                want = self._fresh(model, theta, other, grad, inc)
+                assert acq_gradient(other, post, grad, inc).tobytes() == want, (kind, other)
 
 
 class TestSelectIncumbent:

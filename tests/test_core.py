@@ -23,6 +23,16 @@ class TestParameterBox:
         assert box.contains([1.0, 0.0])
         assert not box.contains([3.0, 0.0])
 
+    def test_contains_rejects_a_point_of_another_length(self):
+        one, two = ParameterBox([0.0], [1.0]), ParameterBox([0.0, 0.0], [1.0, 1.0])
+        assert one.contains(0.5) and one.contains([0.5]) and not one.contains(1.5)
+        for box, point in ((one, [0.5, 0.5]), (one, []), (two, [0.5]), (two, 0.5),
+                           (two, [[0.5, 0.5]]), (two, [0.5, 0.5, 0.5])):
+            with pytest.raises(ValueError, match="axes") as err:
+                box.contains(point)
+            assert str(np.asarray(point, dtype=float).tolist()) in str(err.value)
+            assert f"{box.dim} axes" in str(err.value)
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             ParameterBox([1.0], [1.0])

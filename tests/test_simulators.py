@@ -49,6 +49,19 @@ def lindley_rows(arrival_rate, service_rate, n_entities, gen, reps):
                      for j in range(reps)])
 
 
+def mm1_sojourns_reference(arrival_rate, service_rate, n_entities, gen, reps):
+    """`mm1_sojourns` by `exponential` draws and a four-operation Lindley step
+    on a separate wait row, whose bytes the in-place form must give."""
+    times = gen.exponential(1.0 / arrival_rate, (n_entities, reps))
+    services = gen.exponential(1.0 / service_rate, (n_entities, reps))
+    wait = np.zeros(reps)
+    for k in range(n_entities):
+        if k > 0:
+            wait = np.maximum(0.0, wait + services[k - 1] - times[k])
+        times[k] = wait + services[k]
+    return times.T
+
+
 def sir_reference(infection_prob, gen, population=100, initial_infected=10,
                   contacts_per_day=2, recovery_prob=0.7, horizon=5):
     s, i, r = population - initial_infected, initial_infected, 0
@@ -162,19 +175,27 @@ class TestMm1:
             def __init__(self):
                 self.calls = 0
 
-            def exponential(self, scale, size):
+            def standard_exponential(self, size):
                 # interarrivals [0.5, 1.0, 0.2] at rate 2, then services
                 # [0.8, 0.4, 0.6] at rate 4, one entity-major column each
                 assert size == (3, 1)
                 self.calls += 1
                 unit = [[1.0, 2.0, 0.4], [3.2, 1.6, 2.4]][self.calls - 1]
-                return scale * np.array(unit)[:, None]
+                return np.array(unit)[:, None]
 
         gen = FakeGen()
         sojourn = mm1_sojourns(2.0, 4.0, 3, gen)[0]
         assert gen.calls == 2
         # waits: w1 = 0; w2 = max(0, 0 + 0.8 - 1.0) = 0; w3 = max(0, 0 + 0.4 - 0.2) = 0.2
         assert np.allclose(sojourn, [0.8, 0.4, 0.8])
+
+    @pytest.mark.parametrize("reps", [1, 10, 1000])
+    def test_sojourns_match_the_array_reference_bytes(self, reps):
+        for k, rate in enumerate((2.0, 3.3, 4.0, 6.0, 7.9, 10.0)):
+            got = mm1_sojourns(rate, 4.0, 100, RngStream(31, (k,)).generator(), reps)
+            want = mm1_sojourns_reference(rate, 4.0, 100, RngStream(31, (k,)).generator(), reps)
+            assert got.strides == want.strides, rate
+            assert got.tobytes() == want.tobytes(), (rate, reps)
 
     def test_residual_zero_when_replaying_observation_stream(self):
         obs = RngStream(7)
