@@ -7,19 +7,21 @@ rootless (acquisition-gap study on a sign-constant objective), diagnose
 (residual gap estimators at a point).  Exit codes: 0 success, 1 config
 error, 2 runtime error, 3 validation failure.  Worker count for sweep comes
 from the ROOTCAL_WORKERS environment variable (an integer >= 1, default 1).
+Each config check has one owner: `load_config` checks the document's keys
+and JSON types, and `RunConfig`, `AcqKind` and the models check the value
+ranges when run and sweep build them, before anything is simulated or written.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
 import time
 
-from .acquisition import AcqKind, Family, Mode
+from .acquisition import AcqKind
 from .core import RngStream
 from .diagnostics import chain_check, validate_gradients
 from .engine import (
@@ -41,60 +43,6 @@ EXIT_VALIDATION = 3
 
 GRADIENT_TOL = 1e-4
 
-_METHOD_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "mode": {"enum": [m.value for m in Mode]},
-        "surrogate": {"enum": ["deterministic", "stochastic"]},
-        "acq": {"enum": [f.value for f in Family]},
-        "rss": {"type": "boolean"},
-        "kappa": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["mode", "surrogate", "acq", "rss"],
-    "additionalProperties": False,
-    # kappa is read only by lcb
-    "if": {"properties": {"acq": {"enum": ["pi", "ei"]}}},
-    "then": {"not": {"required": ["kappa"]}},
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "problem": {"enum": list(PROBLEMS)},
-        "problem_params": {
-            "type": "object",
-            "properties": {
-                "arrival_real": {"type": "number", "exclusiveMinimum": 0},
-                "service_rate": {"type": "number", "exclusiveMinimum": 0},
-                "n_entities": {"type": "integer", "minimum": 1},
-                "infection_real": {"type": "number", "minimum": 0, "maximum": 1},
-                "eps": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "methods": {"type": "array", "items": _METHOD_SCHEMA, "minItems": 1},
-        "macro_reps": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "p_init": {"type": "integer", "minimum": 2},
-        "budget": {"type": "integer", "minimum": 0},
-        "reps_per_point": {"type": "integer", "minimum": 1},
-        "post_reps": {"type": "integer", "minimum": 2},
-        "alpha": {"type": "number", "minimum": 0, "maximum": 1},
-        "output": {
-            "type": "object",
-            "properties": {
-                "trace": {"type": "string"},
-                "summary": {"type": "string"},
-                "long": {"type": "string"},
-                "aggregate": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["problem", "methods", "seed", "output"],
-    "additionalProperties": False,
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -105,29 +53,64 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-@functools.cache
-def _config_validator():
-    """CONFIG_SCHEMA's validator, built and its schema checked once per process."""
-    from jsonschema.validators import validator_for
-    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-
 def _non_finite(literal: str):
     """json.load's hook for NaN, Infinity and -Infinity, which JSON itself lacks."""
     raise ConfigError(f"invalid config: non-finite number {literal} is not allowed")
 
 
-def load_config(path: str) -> dict:
-    from jsonschema.exceptions import best_match
+# the JSON type of each key a config may hold, with int an integer (not a bool)
+# and float any number; value ranges are checked where the values are used
+_CONFIG_KEYS = {
+    "problem": str, "problem_params": dict, "methods": list, "macro_reps": int,
+    "seed": int, "p_init": int, "budget": int, "reps_per_point": int,
+    "post_reps": int, "alpha": float, "output": dict,
+}
+_METHOD_KEYS = {"mode": str, "surrogate": str, "acq": str, "rss": bool, "kappa": float}
+_OUTPUT_KEYS = dict.fromkeys(("trace", "summary", "long", "aggregate"), str)
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a number"}
 
+
+def _typed(name: str, value, kind: type) -> None:
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ConfigError(f"invalid config: {name} must be {_JSON_TYPES[kind]}, "
+                          f"got {json.dumps(value)}")
+
+
+def _checked(doc, kinds: dict, required=(), path: str = "") -> None:
+    """Check that doc is a JSON object holding every `required` key and only keys
+    of `kinds`, each of its JSON type; `path` prefixes the key names in messages."""
+    _typed(path.rstrip(".") or "the config", doc, dict)
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"invalid config: missing key {path}{key}")
+    for key, value in doc.items():
+        if key not in kinds:
+            raise ConfigError(f"invalid config: unknown key {path}{key}")
+        _typed(path + key, value, kinds[key])
+
+
+def load_config(path: str) -> dict:
+    """The config document at `path`, its shape checked: its keys, their JSON
+    types, a non-empty `methods` list, the surrogate names and numeric
+    `problem_params`.  Value ranges are left to `RunConfig`, `AcqKind` and the
+    models, which `cmd_run` and `cmd_sweep` build under `_config_checked`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_non_finite)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    error = best_match(_config_validator().iter_errors(raw))
-    if error is not None:  # the error jsonschema.validate would raise
-        raise ConfigError(f"invalid config: {error.message}")
+    _checked(raw, _CONFIG_KEYS, ("problem", "methods", "seed", "output"))
+    if not raw["methods"]:
+        raise ConfigError("invalid config: methods must be a non-empty array, got []")
+    for i, method in enumerate(raw["methods"]):
+        _checked(method, _METHOD_KEYS, ("mode", "surrogate", "acq", "rss"), f"methods[{i}].")
+        if method["surrogate"] not in ("deterministic", "stochastic"):
+            raise ConfigError(f'invalid config: methods[{i}].surrogate must be "deterministic" '
+                              f'or "stochastic", got {json.dumps(method["surrogate"])}')
+    _checked(raw["output"], _OUTPUT_KEYS, path="output.")
+    for key, value in raw.get("problem_params", {}).items():
+        _typed(f"problem_params.{key}", value, float)
     return raw
 
 
@@ -138,7 +121,7 @@ _PROTOCOL_KEYS = ("p_init", "budget", "reps_per_point", "alpha", "post_reps")
 def _method_config(method: dict, cfg: dict) -> RunConfig:
     return RunConfig(
         stochastic=method["surrogate"] == "stochastic",
-        acq=AcqKind(Family(method["acq"]), Mode(method["mode"]), method.get("kappa")),
+        acq=AcqKind(method["acq"], method["mode"], method.get("kappa")),
         use_rss=method["rss"],
         seed=cfg["seed"],
         **{key: cfg[key] for key in _PROTOCOL_KEYS if key in cfg},
@@ -178,8 +161,10 @@ def _trace_rows(trace, dim: int):
 
 
 def _config_checked(call, *args):
-    """call(*args) with a TypeError or ValueError (a parameter the problem does not take, a
-    bad value or theta) as a ConfigError; a sweep checks its model before any worker starts."""
+    """call(*args) with a TypeError or ValueError as a ConfigError: the range checks of
+    `RunConfig`, `AcqKind` and the models, a parameter the problem does not take, or a
+    bad theta.  `run` and `sweep` build every method's config and the model this way
+    before anything is simulated or written, and before a sweep starts any worker."""
     try:
         return call(*args)
     except (TypeError, ValueError) as exc:
@@ -193,7 +178,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = cfg["output"]
     if "trace" not in out or "summary" not in out:
         raise ConfigError("run needs output.trace and output.summary paths")
-    run_cfg = _method_config(cfg["methods"][0], cfg)
+    run_cfg = _config_checked(_method_config, cfg["methods"][0], cfg)
     sim = _config_checked(observation_model, cfg["problem"], cfg.get("problem_params"), cfg["seed"])
 
     start = time.monotonic()
@@ -219,12 +204,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if "macro_reps" not in cfg:
-        raise ConfigError("sweep needs macro_reps")
+    macro_reps = cfg.get("macro_reps")
+    if macro_reps is None or macro_reps < 1:
+        raise ConfigError(f"sweep needs macro_reps >= 1, got {macro_reps}")
     out = cfg["output"]
     if "long" not in out or "aggregate" not in out:
         raise ConfigError("sweep needs output.long and output.aggregate paths")
-    configs = [_method_config(m, cfg) for m in cfg["methods"]]
+    configs = [_config_checked(_method_config, m, cfg) for m in cfg["methods"]]
     labels = [c.label for c in configs]
     if len(set(labels)) != len(labels):
         raise ConfigError("methods must be distinct")
@@ -234,8 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"ROOTCAL_WORKERS {exc}")
     _config_checked(observation_model, cfg["problem"], cfg.get("problem_params"), cfg["seed"])
     long_rows, aggregate_rows = macro_sweep(
-        cfg["problem"], cfg.get("problem_params"), configs,
-        cfg["macro_reps"], workers=workers,
+        cfg["problem"], cfg.get("problem_params"), configs, macro_reps, workers=workers,
     )
     _write_csv(
         out["long"],

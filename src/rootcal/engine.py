@@ -75,6 +75,8 @@ class RunConfig:
             raise ValueError(f"post_reps must be >= 2, got {self.post_reps}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def label(self) -> str:

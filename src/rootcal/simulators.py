@@ -117,6 +117,11 @@ class Mm1Queue(SimulationModel):
     @classmethod
     def from_stream(cls, obs_rng: RngStream, arrival_real: float = 6.0,
                     service_rate: float = 4.0, n_entities: int = 100) -> "Mm1Queue":
+        for name, rate in (("arrival_real", arrival_real), ("service_rate", service_rate)):
+            if not 0 < rate < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {rate}")
+        if type(n_entities) is not int or n_entities < 1:
+            raise ValueError(f"n_entities must be an integer >= 1, got {n_entities}")
         observed = mm1_sojourns(arrival_real, service_rate, n_entities,
                                 obs_rng.generator())[0]
         return cls(observed=observed, service_rate=service_rate)
@@ -179,6 +184,8 @@ class StochasticSir(SimulationModel):
     @classmethod
     def from_stream(cls, obs_rng: RngStream,
                     infection_real: float = 0.65) -> "StochasticSir":
+        if not 0 <= infection_real <= 1:
+            raise ValueError(f"infection_real must be in [0, 1], got {infection_real}")
         observed = sir_trajectories(infection_real, obs_rng.generator())[0]
         return cls(observed=observed)
 
