@@ -135,6 +135,14 @@ def _write(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def _assert_config_error(tmp_path, capsys, command, changes, needle):
+    """`command` on the base config with `changes` exits 1 naming `needle`, writing nothing."""
+    path = _write(tmp_path, _edited(_run_or_sweep_config(tmp_path), changes))
+    assert main([command, path]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 class TestRun:
     def test_writes_trace_and_summary(self, tmp_path):
         cfg = _base_config(tmp_path)
@@ -215,10 +223,22 @@ class TestConfigValidation:
     ] + [pytest.param("sweep", {("macro_reps",): 0}, "macro_reps >= 1, got 0",
                       id="macro-reps-0-sweep")])
     def test_bad_config_fails_naming_it(self, tmp_path, capsys, command, changes, needle):
-        path = _write(tmp_path, _edited(_run_or_sweep_config(tmp_path), changes))
-        assert main([command, path]) == EXIT_CONFIG
-        assert needle in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+        _assert_config_error(tmp_path, capsys, command, changes, needle)
+
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "run", {("extra",): 1}, "unknown key extra")
+
+    def test_unknown_method_key(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "run", _method(surprise=True),
+                             "unknown key methods[0].surprise")
+
+    def test_bad_enum_value(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "run", _method(acq="ucb"), "'ucb'")
+
+    @pytest.mark.parametrize("acq", ["pi", "ei"])
+    def test_kappa_off_lcb_rejected(self, tmp_path, capsys, acq):
+        _assert_config_error(tmp_path, capsys, "run", _method(acq=acq, kappa=2.0),
+                             f"kappa=2.0 is read only by lcb, not {acq}")
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("changes,key", [
