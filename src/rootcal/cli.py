@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -32,7 +31,7 @@ from .engine import (
     rootless_table,
     run_calibration,
 )
-from .simulators import PROBLEMS
+from .simulators import PROBLEMS, RootlessQuadratic
 
 __all__ = ["main"]
 
@@ -60,10 +59,12 @@ def _non_finite(literal: str):
 
 # the JSON type of each key a config may hold, with int an integer (not a bool)
 # and float any number; value ranges are checked where the values are used
+_PROTOCOL_KEYS = {  # the keys that override RunConfig's protocol defaults
+    "p_init": int, "budget": int, "reps_per_point": int, "alpha": float, "post_reps": int,
+}
 _CONFIG_KEYS = {
     "problem": str, "problem_params": dict, "methods": list, "macro_reps": int,
-    "seed": int, "p_init": int, "budget": int, "reps_per_point": int,
-    "post_reps": int, "alpha": float, "output": dict,
+    "seed": int, **_PROTOCOL_KEYS, "output": dict,
 }
 _METHOD_KEYS = {"mode": str, "surrogate": str, "acq": str, "rss": bool, "kappa": float}
 _OUTPUT_KEYS = dict.fromkeys(("trace", "summary", "long", "aggregate"), str)
@@ -112,10 +113,6 @@ def load_config(path: str) -> dict:
     for key, value in raw.get("problem_params", {}).items():
         _typed(f"problem_params.{key}", value, float)
     return raw
-
-
-# config keys that override RunConfig's protocol defaults
-_PROTOCOL_KEYS = ("p_init", "budget", "reps_per_point", "alpha", "post_reps")
 
 
 def _method_config(method: dict, cfg: dict) -> RunConfig:
@@ -247,8 +244,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_rootless(args: argparse.Namespace) -> int:
-    if not 0 < args.eps < math.inf:
-        raise ConfigError(f"eps must be positive and finite, got {args.eps}")
+    _config_checked(RootlessQuadratic, args.eps)
     sizes = sorted(set(args.design_sizes))
     if any(s < 2 for s in sizes):
         raise ConfigError("design sizes must be >= 2")

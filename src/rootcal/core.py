@@ -37,8 +37,11 @@ class ParameterBox:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if lower.size < 1:
             raise ValueError("box must have at least one axis")
-        if not np.all(lower < upper):
-            raise ValueError("lower bound must be strictly below upper bound on every axis")
+        finite = np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+        if not finite or not np.all(lower < upper):
+            what = ("lower bound must be strictly below upper bound on every axis" if finite
+                    else "lower and upper must be finite")
+            raise ValueError(f"{what}, got lower {lower.tolist()}, upper {upper.tolist()}")
         for name, value in (("lower", lower), ("upper", upper), ("width", upper - lower)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

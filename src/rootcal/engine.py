@@ -56,7 +56,7 @@ ROOTLESS_REPS = 10  # replications per design point in rootless_differences
 class RunConfig:
     stochastic: bool
     acq: AcqKind  # its mode also sets the surrogate's target: signed (root) or squared (min)
-    use_rss: bool
+    use_rss: bool  # root mode only: RSS brackets a sign change, which a squared target lacks
     p_init: int = 2
     budget: int = 10
     reps_per_point: int = 10
@@ -77,6 +77,8 @@ class RunConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.use_rss and self.acq.mode is not Mode.ROOT:
+            raise ValueError(f"rss needs mode root, not {self.acq.mode.value}")
 
     @property
     def label(self) -> str:
@@ -175,15 +177,14 @@ def _fit_surrogate(box: ParameterBox, summaries, config: RunConfig):
     return model, select_incumbent(model, config.acq.mode, posts), posts
 
 
-def _active_box(model: GpModel, posts, summaries, config: RunConfig,
-                box: ParameterBox) -> ParameterBox:
+def _active_box(model: GpModel, posts, config: RunConfig, box: ParameterBox) -> ParameterBox:
+    """The box to search: with RSS, the bracket of the fitted surrogate's posteriors or targets."""
     if not config.use_rss:
         return box
     if posts is not None:
         sub = rss_mod.rss_stochastic(model.design, posts, config.alpha)
     else:
-        signed = np.array([s.signed_mean for s in summaries])
-        sub = rss_mod.rss_deterministic(model.design, signed)
+        sub = rss_mod.rss_deterministic(model.design, model.targets)
     if sub is None:
         return box
     # degenerate axes (coincident coordinates) keep a positive extent via the floor
@@ -223,7 +224,7 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
     value, active = np.nan, box
     for t in range(config.budget + 1):
         if t > 0:
-            active = _active_box(model, posts, summaries, config, box)
+            active = _active_box(model, posts, config, box)
             theta, value = _next_point(model, inc, config, active, base.child(_ACQ, t))
             summaries.append(evaluate_point(sim, theta, config.reps_per_point,
                                             base.child(_SIM, config.p_init + t - 1)))

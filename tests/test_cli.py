@@ -112,6 +112,9 @@ BAD_CONFIGS = [
     ("acq-ucb", _method(acq="ucb"), "'ucb'"),
     ("surrogate-gp", _method(surrogate="gp"), 'methods[0].surrogate must be "deterministic"'),
     ("rss-string", _method(rss="yes"), 'methods[0].rss must be a boolean, got "yes"'),
+    ("rss-min-sk", _method(mode="min"), "rss needs mode root, not min"),
+    ("rss-min-krig", _method(mode="min", surrogate="deterministic"),
+     "rss needs mode root, not min"),
     ("unknown-key", {("extra",): 1}, "unknown key extra"),
     ("unknown-method-key", _method(surprise=True), "unknown key methods[0].surprise"),
     ("unknown-output-key", {("output", "plot"): "plot.png"}, "unknown key output.plot"),

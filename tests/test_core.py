@@ -36,8 +36,22 @@ class TestParameterBox:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             ParameterBox([1.0], [1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "lower bound must be strictly below upper bound on every axis, "
+                "got lower [0.0, 2.0], upper [1.0, 1.0]")):
             ParameterBox([0.0, 2.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("lower,upper", [
+        ([-np.inf, 0.0], [np.inf, 1.0]),  # from_unit would give nan on the first axis
+        ([0.0], [np.inf]),  # to_unit would send every point to 0
+        ([-np.inf], [0.0]),
+        ([np.nan], [1.0]),
+        ([0.0, 0.0], [1.0, np.nan]),
+    ])
+    def test_rejects_non_finite_bounds_naming_them(self, lower, upper):
+        with pytest.raises(ValueError, match="^lower and upper must be finite, got ") as err:
+            ParameterBox(lower, upper)
+        assert f"lower {lower}, upper {upper}" in str(err.value)
 
     def test_unit_mapping_roundtrip(self):
         box = ParameterBox([-3.0, 2.0], [3.0, 10.0])

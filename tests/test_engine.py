@@ -9,6 +9,7 @@ from rootcal.diagnostics import validate_gradients
 from rootcal.engine import (
     OBS_KEY,
     RunConfig,
+    _active_box,
     draw_checked,
     evaluate_point,
     initial_design,
@@ -356,6 +357,29 @@ class TestRunCalibration:
         # and an alpha outside [0, 1] only once stochastic reduction ran
         with pytest.raises(ValueError, match=f"{name} .*{value}"):
             _config(**{name: value})
+
+    @pytest.mark.parametrize("stochastic", [True, False])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_rss_is_root_mode_only(self, family, stochastic):
+        # a min-mode surrogate fits the squared discrepancy, which has no sign to bracket
+        with pytest.raises(ValueError, match="^rss needs mode root, not min$"):
+            _config(acq=AcqKind(family, Mode.MIN), stochastic=stochastic, use_rss=True)
+
+
+class TestActiveBox:
+    BOX = ParameterBox([0.0], [4.0])
+    DESIGN = [[2.0], [3.5], [2.6]]
+
+    def test_deterministic_rss_brackets_the_fitted_targets(self):
+        model = model_at(self.BOX, self.DESIGN, [-1.0, 2.0, 0.2], np.zeros(3), 0.5)
+        cfg = _config(stochastic=False, acq=AcqKind(Family.LCB, Mode.ROOT))
+        active = _active_box(model, None, cfg, self.BOX)
+        assert (active.lower.tolist(), active.upper.tolist()) == ([2.0], [2.6])
+
+    def test_no_sign_change_or_no_rss_keeps_the_box(self):
+        model = model_at(self.BOX, self.DESIGN, [1.0, 2.0, 0.2], np.zeros(3), 0.5)
+        for cfg in (_config(stochastic=False), _config(stochastic=False, use_rss=False)):
+            assert _active_box(model, None, cfg, self.BOX) is self.BOX
 
 
 class TestMacroSweep:

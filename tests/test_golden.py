@@ -66,8 +66,8 @@ GOLDEN = {
     "run/sir/2/trace": "fb6c093cf64967a29d26e946ca30b3ea7cde68de0ef2a54345c91f995d8e1a75",
     "run/rootless/0/trace": "126740e18e5ba0890c3026c71bb718fcd518cf8100787a99ec38ecc802524ec6",
     "run/rootless/1/trace": "89ec9621895152c71b1af6e1354b0004ee4f81a480412acd10a5b0c3f143a8f0",
-    "sweep/long": "701aa780f460107a1895f6016e2fddafdb18f842c06f6ae0b8909b33c8ba5251",
-    "sweep/aggregate": "f42764d228a0ca4c0b3b4cf53fe21aed3c4346a9e7a6d435520c1a08f5838226",
+    "sweep/long": "605cb98ad2b70776e8aa7c24aa536d732e7d0750c3a8d3649e1d8d82a79c9a54",
+    "sweep/aggregate": "1ade76598ae251939913abbe25aed1720ecc9c75ad22d1f212230d9e7dd017c3",
     "rootless/0.1": "47fd848af9964f39d7945d04b15a9e229c1858d4f2abeb5047ad6885e2d453f5",
     "rootless/2.0": "09613825fbb94d237f17486d4a0f5587353fb8e6f4c112412879d56c5d5447a8",
     "diagnose/mm1": "b5d90486f1b863a330a949cf78b1609929a9b89d8541d579c58a553b57218a69",
@@ -145,7 +145,7 @@ def sweep_digests(tmp_path) -> dict:
     config = _write_config(
         tmp_path, problem="himmelblau2d", macro_reps=2,
         methods=[_method("root", "stochastic", "ei", True),
-                 _method("min", "deterministic", "pi", True)],
+                 _method("min", "deterministic", "pi", False)],
         output={"long": str(long), "aggregate": str(agg)},
     )
     assert cli.main(["sweep", config]) == cli.EXIT_OK
