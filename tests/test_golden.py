@@ -1,8 +1,8 @@
 """Golden output digests: the CLI's CSV bytes at small fixed configs.
 
 Each case runs a ``rootcal`` subcommand through ``cli.main`` and compares the
-SHA-256 of every CSV it writes (for ``diagnose``, of its JSON on stdout) with
-a committed value, so "same behaviour"
+SHA-256 of every CSV it writes (for ``diagnose`` and ``validate``, of its
+stdout) with a committed value, so "same behaviour"
 is checked against a fixed reference rather than only against a rerun.  The
 run summary JSON is not digested because it holds ``wall_time_s``.
 
@@ -53,6 +53,10 @@ RUNS = {
 # contact passes
 DIAGNOSE = {"mm1": "7.5", "sir": "0.95"}
 
+# `rootcal validate` arguments; its stdout holds every acquisition's worst
+# analytical-vs-central-difference gradient deviation to 17 digits
+VALIDATE = ["--cases", "30", "--seed", "3"]
+
 RUN_CASES = [(problem, i) for problem in RUNS for i in range(len(RUNS[problem]))]
 
 GOLDEN = {
@@ -72,6 +76,7 @@ GOLDEN = {
     "rootless/2.0": "09613825fbb94d237f17486d4a0f5587353fb8e6f4c112412879d56c5d5447a8",
     "diagnose/mm1": "b5d90486f1b863a330a949cf78b1609929a9b89d8541d579c58a553b57218a69",
     "diagnose/sir": "219df90051da823554de2fdae490403b21806a24b21baf4778781db6f0523fd5",
+    "validate": "f94bb9e60841f9d8f7fceb78b2dc6d39cfbd4c0fb9a5e7d4f40442178111789a",
 }
 
 # a change to how the loop post-evaluates its recommendation must leave these
@@ -119,6 +124,14 @@ def diagnose_digests(problem) -> dict:
                          "--reps", "50", "--seed", "3"])
     assert code == cli.EXIT_OK
     return {f"diagnose/{problem}": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def validate_digests() -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["validate", *VALIDATE])
+    assert code == cli.EXIT_OK
+    return {"validate": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
 def _run_trace(tmp_path, problem, index):
@@ -183,6 +196,11 @@ def test_diagnose_digest(problem):
         assert digest == GOLDEN[key], key
 
 
+def test_validate_digest():
+    for key, digest in validate_digests().items():
+        assert digest == GOLDEN[key], key
+
+
 @pytest.mark.parametrize("eps", [0.1, 2.0])  # limiting and direct gap forms
 def test_rootless_digest(tmp_path, eps):
     for key, digest in rootless_digests(tmp_path, eps).items():
@@ -203,6 +221,7 @@ if __name__ == "__main__":
             current.update(rootless_digests(Path(tmp), eps))
     for problem in sorted(DIAGNOSE):
         current.update(diagnose_digests(problem))
+    current.update(validate_digests())
     print("GOLDEN")
     for key, digest in current.items():
         print(f'    "{key}": "{digest}",')
