@@ -16,15 +16,13 @@ from rootcal import (
     ParameterBox,
     RngStream,
     acq_value,
+    acquisition_objective,
+    design_posteriors,
     fit,
     optimize,
     posterior,
-    posterior_grad,
-    acq_gradient,
-    design_posteriors,
     select_incumbent,
 )
-from rootcal.metamodel import STD_FLOOR
 
 
 def main():
@@ -42,18 +40,11 @@ def main():
         for mode in Mode:
             kind = AcqKind(family, mode)
             inc = select_incumbent(model, mode, posts)
-
-            def objective(theta):
-                # the optimizer asks for the gradient only at points it steps from
-                post = posterior(model, theta)
-                if post.std < STD_FLOOR:
-                    return acq_value(kind, post, inc), None
-                return acq_value(kind, post, inc), lambda: acq_gradient(
-                    kind, post, posterior_grad(model, theta, post)[1], inc)
-
             vals = [acq_value(kind, posterior(model, [g]), inc) for g in grid]
-            best, best_val = optimize(objective, box, RngStream(1),
-                                      maximize=kind.maximize)
+            # the objective the calibration loop optimizes; the optimizer asks
+            # for its gradient only at points it steps from
+            best, best_val = optimize(acquisition_objective(model, kind, inc), box,
+                                      RngStream(1), maximize=kind.maximize)
             name = f"{mode.value}-{family.value}"
             line = "  ".join(f"{v:6.3f}" for v in vals)
             print(f"{name:>8}: {line}   -> next point {best[0]:.4f} "

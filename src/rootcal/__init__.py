@@ -37,6 +37,7 @@ from .engine import (
     CalibrationTrace,
     IterationRecord,
     RunConfig,
+    acquisition_objective,
     evaluate_point,
     initial_design,
     macro_sweep,
@@ -81,6 +82,7 @@ __all__ = [
     "Subregion",
     "acq_gradient",
     "acq_value",
+    "acquisition_objective",
     "aggregate_signed",
     "aggregate_squared",
     "aggregate_variance",

@@ -159,8 +159,8 @@ def _trace_rows(trace, dim: int):
 
 def _config_checked(call, *args):
     """call(*args) with a TypeError or ValueError as a ConfigError: the range checks of
-    `RunConfig`, `AcqKind` and the models, a parameter the problem does not take, or a
-    bad theta.  `run` and `sweep` build every method's config and the model this way
+    `RunConfig`, `AcqKind`, the models and `macro_sweep` (a run's error is a RuntimeError),
+    a parameter the problem does not take, or a bad theta.  `run` and `sweep` check these
     before anything is simulated or written, and before a sweep starts any worker."""
     try:
         return call(*args)
@@ -208,16 +208,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if "long" not in out or "aggregate" not in out:
         raise ConfigError("sweep needs output.long and output.aggregate paths")
     configs = [_config_checked(_method_config, m, cfg) for m in cfg["methods"]]
-    labels = [c.label for c in configs]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("methods must be distinct")
     try:
         workers = _COUNT(os.environ.get("ROOTCAL_WORKERS", "1"))
     except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"ROOTCAL_WORKERS {exc}")
     _config_checked(observation_model, cfg["problem"], cfg.get("problem_params"), cfg["seed"])
-    long_rows, aggregate_rows = macro_sweep(
-        cfg["problem"], cfg.get("problem_params"), configs, macro_reps, workers=workers,
+    long_rows, aggregate_rows = _config_checked(
+        macro_sweep, cfg["problem"], cfg.get("problem_params"), configs, macro_reps, workers,
     )
     _write_csv(
         out["long"],
@@ -245,10 +242,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_rootless(args: argparse.Namespace) -> int:
     _config_checked(RootlessQuadratic, args.eps)
-    sizes = sorted(set(args.design_sizes))
-    if any(s < 2 for s in sizes):
-        raise ConfigError("design sizes must be >= 2")
-    rows = rootless_table(args.eps, sizes, args.seed, args.n_seeds)
+    rows = rootless_table(args.eps, sorted(set(args.design_sizes)), args.seed, args.n_seeds)
     _write_csv(
         args.output,
         ["design_size", "lcb_diff", "pi_diff", "ei_diff"],
@@ -328,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_root = sub.add_parser("rootless", help="acquisition gaps without a root")
     p_root.add_argument("--eps", type=float, required=True)
-    p_root.add_argument("--design-sizes", type=_list_of(int, "integers"), default="5,9,13,17,21")
+    p_root.add_argument("--design-sizes", type=_list_of(_int_at_least(2), "integers"),
+                        default="5,9,13,17,21")
     p_root.add_argument("--seed", type=_SEED, default=0)
     p_root.add_argument("--n-seeds", type=_COUNT, default=100)
     p_root.add_argument("--output", required=True)

@@ -7,16 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import (
-    AcqKind,
-    Family,
-    Incumbent,
-    Mode,
-    acq_gradient,
-    acq_value,
-)
+from .acquisition import AcqKind, Family, Incumbent, Mode
 from .core import ParameterBox, RngStream, aggregate_signed, aggregate_squared, residual_rows
-from .metamodel import model_at, posterior, posterior_grad
+from .engine import acquisition_objective
+from .metamodel import model_at, posterior
 
 __all__ = [
     "GapReport",
@@ -96,34 +90,30 @@ def _random_case(gen):
                 return model, theta, Incumbent(index=0, value=v)
 
 
-def _fd_gradient(model, theta, kind, inc, step):
+def _fd_gradient(objective, theta, step):
     grad = np.empty_like(theta)
     for axis in range(theta.size):
         hi = theta.copy()
         lo = theta.copy()
         hi[axis] += step
         lo[axis] -= step
-        v_hi = acq_value(kind, posterior(model, hi), inc)
-        v_lo = acq_value(kind, posterior(model, lo), inc)
-        grad[axis] = (v_hi - v_lo) / (2.0 * step)
+        grad[axis] = (objective(hi)[0] - objective(lo)[0]) / (2.0 * step)
     return grad
 
 
 def validate_gradients(cases: int, rng: RngStream, fd_step: float = 1e-5) -> dict:
-    """Max |analytical - central-difference| gradient deviation per acquisition.
-
-    Deterministic per rng.
-    """
+    """Max |analytical - central-difference| deviation per acquisition of the gradient of
+    `acquisition_objective`, the callable that `optimize` gets.  Deterministic per rng."""
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
     gen = rng.generator()
     worst = {kind: 0.0 for kind in ALL_ACQ_KINDS}
     for _ in range(cases):
         model, theta, inc = _random_case(gen)
-        post, grad = posterior_grad(model, theta)
         for kind in ALL_ACQ_KINDS:
-            analytical = acq_gradient(kind, post, grad, inc)
-            numerical = _fd_gradient(model, theta, kind, inc, fd_step)
+            objective = acquisition_objective(model, kind, inc)
+            analytical = objective(theta)[1]()
+            numerical = _fd_gradient(objective, theta, fd_step)
             dev = float(np.max(np.abs(analytical - numerical)))
             worst[kind] = max(worst[kind], dev)
     return {f"{k.mode.value}-{k.family.value}": v for k, v in worst.items()}

@@ -27,7 +27,7 @@ from .acquisition import (
     select_incumbent,
 )
 from .core import ObservationSummary, ParameterBox, RngStream, aggregate_squared, summarize
-from .metamodel import STD_FLOOR, GpModel, fit, kernel_matrix, posterior, posterior_grad
+from .metamodel import STD_FLOOR, GpModel, fit, posterior, posterior_grad, posterior_means
 from .rss import THETA_FLOOR
 from .simulators import RootlessQuadratic, SimulationModel, make_model
 
@@ -40,6 +40,7 @@ __all__ = [
     "draw_checked",
     "evaluate_point",
     "post_evaluate",
+    "acquisition_objective",
     "run_calibration",
     "macro_sweep",
     "rootless_differences",
@@ -194,17 +195,17 @@ def _active_box(model: GpModel, posts, config: RunConfig, box: ParameterBox) -> 
     return ParameterBox(lo, hi)
 
 
-def _next_point(model: GpModel, inc: Incumbent, config: RunConfig,
-                active: ParameterBox, rng: RngStream):
-    """The acquisition optimum in the active box and its acquisition value."""
+def acquisition_objective(model: GpModel, kind: AcqKind, inc: Incumbent | None):
+    """theta -> (value, gradient callable or None below STD_FLOOR), the surface `optimize`
+    searches; the gradient reuses the posterior's kernel vector and acq_value's partials."""
     def objective(theta):
         post = posterior(model, theta)
         if post.std < STD_FLOOR:
-            return acq_value(config.acq, post, inc), None
-        return acq_value(config.acq, post, inc), lambda: acq_gradient(
-            config.acq, post, posterior_grad(model, theta, post)[1], inc)
+            return acq_value(kind, post, inc), None
+        return acq_value(kind, post, inc), lambda: acq_gradient(
+            kind, post, posterior_grad(model, theta, post)[1], inc)
 
-    return optimize(objective, active, rng, maximize=config.acq.maximize)
+    return objective
 
 
 def run_calibration(sim: SimulationModel, config: RunConfig,
@@ -225,7 +226,8 @@ def run_calibration(sim: SimulationModel, config: RunConfig,
     for t in range(config.budget + 1):
         if t > 0:
             active = _active_box(model, posts, config, box)
-            theta, value = _next_point(model, inc, config, active, base.child(_ACQ, t))
+            theta, value = optimize(acquisition_objective(model, config.acq, inc), active,
+                                    base.child(_ACQ, t), maximize=config.acq.maximize)
             summaries.append(evaluate_point(sim, theta, config.reps_per_point,
                                             base.child(_SIM, config.p_init + t - 1)))
         model, inc, posts = _fit_surrogate(box, summaries, config)
@@ -272,8 +274,7 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     inc = select_incumbent(model, Mode.ROOT)
     v_min = select_incumbent(model, Mode.MIN)
 
-    grid = model.box.to_unit(np.linspace(-1.0, 1.0, 201)[:, None])
-    grid_means = kernel_matrix(grid, model.unit_design, model.lengthscale) @ model.alpha
+    grid_means = posterior_means(model, np.linspace(-1.0, 1.0, 201)[:, None])
     mean_positive = bool(np.all(grid_means > 0.0))
 
     def value(family, mode, at=inc):
@@ -333,11 +334,16 @@ def macro_sweep(problem: str, problem_params: dict, configs, macro_reps: int,
 
     long_rows: (method, macro_rep, iter, post_mean), sorted.
     aggregate_rows: (method, iter, mean, ci_half) across macro replications.
+    Configs sharing a label, which keys the rows, raise a ValueError before any run.
     A run that raises fails the whole sweep with a RuntimeError naming it, so
     the method comparison is never silently unpaired.
     """
     if macro_reps < 1:
         raise ValueError(f"macro_reps must be >= 1, got {macro_reps}")
+    labels = [cfg.label for cfg in configs]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"methods must be distinct: {labels.count(label)} are labeled {label}")
     tasks = [(problem, problem_params, cfg, r)
              for cfg in configs for r in range(macro_reps)]
     if workers > 1:

@@ -37,6 +37,7 @@ __all__ = [
     "log_marginal_likelihood",
     "posterior",
     "posterior_grad",
+    "posterior_means",
 ]
 
 STD_FLOOR = 1e-9
@@ -316,3 +317,9 @@ def posterior_grad(model: GpModel, theta,
     dmean = model.inv_width * G.dot(model.alpha)
     dvar = model.neg_two_inv_width * G.dot(_cho_solve(model.chol_f, kvec))
     return post, PosteriorGrad(dmean=dmean, dstd=dvar / (2.0 * post.std))
+
+
+def posterior_means(model: GpModel, thetas) -> np.ndarray:
+    """The posterior mean at each row of thetas, (k, m_theta), from one kernel matrix."""
+    unit = model.box.to_unit(_finite("thetas", thetas))
+    return kernel_matrix(unit, model.unit_design, model.lengthscale) @ model.alpha

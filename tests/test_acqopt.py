@@ -14,10 +14,10 @@ from rootcal.acqopt import (
     _rowdot,
     optimize,
 )
-from rootcal.acquisition import AcqKind, Family, Incumbent, Mode, acq_gradient, acq_value
+from rootcal.acquisition import AcqKind, Family, Incumbent, Mode
 from rootcal.core import ParameterBox, RngStream
-from rootcal.engine import RunConfig, observation_model, run_calibration
-from rootcal.metamodel import STD_FLOOR, model_at, posterior, posterior_grad
+from rootcal.engine import RunConfig, acquisition_objective, observation_model, run_calibration
+from rootcal.metamodel import model_at
 
 
 def _quadratic(center):
@@ -152,14 +152,7 @@ def _surfaces():
                          np.full(n, 0.01), 0.3)
         inc = Incumbent(0, float(rng.normal()))
         for kind in (AcqKind(family, mode) for family in Family for mode in Mode):
-            def objective(theta, kind=kind, model=model, inc=inc):
-                post = posterior(model, theta)
-                if post.std < STD_FLOOR:
-                    return acq_value(kind, post, inc), None
-                return acq_value(kind, post, inc), lambda: acq_gradient(
-                    kind, post, posterior_grad(model, theta, post)[1], inc)
-
-            yield box, objective, kind.maximize
+            yield box, acquisition_objective(model, kind, inc), kind.maximize
 
 
 class TestProjection:

@@ -397,6 +397,19 @@ class TestSweep:
         cfg["methods"][1] = dict(cfg["methods"][0])
         assert main(["sweep", _write(tmp_path, cfg)]) == EXIT_CONFIG
 
+    def test_methods_sharing_a_label_rejected_naming_it(self, tmp_path, capsys):
+        # RunConfig.label omits kappa, so these two would share rows
+        cfg = self._sweep_config(tmp_path)
+        cfg["methods"] = [{"mode": "min", "surrogate": "deterministic", "acq": "lcb",
+                           "rss": False, "kappa": kappa} for kappa in (1.0, 3.0)]
+        assert main(["sweep", _write(tmp_path, cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert ("config error: methods must be distinct: 2 are labeled min-lcb-krig"
+                in captured.err)
+        assert captured.out == ""
+        assert not (tmp_path / "long.csv").exists()
+        assert not (tmp_path / "agg.csv").exists()
+
     @pytest.mark.parametrize("workers", ["abc", "0", "-3", "1.5", ""])
     def test_rejects_bad_worker_count_before_running(self, tmp_path, monkeypatch, capsys,
                                                      workers):
@@ -423,10 +436,10 @@ class TestValidate:
         assert all("max deviation" in line for line in out)
 
     def test_corrupt_negative_control_fails(self, capsys, monkeypatch):
-        from rootcal import diagnostics
+        from rootcal import engine
 
-        exact = diagnostics.acq_gradient
-        monkeypatch.setattr(diagnostics, "acq_gradient",
+        exact = engine.acq_gradient
+        monkeypatch.setattr(engine, "acq_gradient",
                             lambda *args: exact(*args) + 1.0)
         code = main(["validate", "--cases", "2"])
         assert code == EXIT_VALIDATION
@@ -479,13 +492,16 @@ class TestRootless:
             for col in ("lcb_diff", "pi_diff", "ei_diff"):
                 float(row[col])
 
-    def test_rejects_bad_eps_and_sizes(self, tmp_path):
+    def test_rejects_bad_eps_and_sizes(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert main(["rootless", "--eps", "0", "--output", out]) == EXIT_CONFIG
         for eps in ("nan", "inf"):
             assert main(["rootless", "--eps", eps, "--output", out]) == EXIT_CONFIG
+        capsys.readouterr()
         assert main(["rootless", "--eps", "1", "--design-sizes", "1,5",
                      "--output", out]) == EXIT_CONFIG
+        assert ("argument --design-sizes: must be an integer >= 2, got '1'"
+                in capsys.readouterr().err)
         assert main(["rootless", "--eps", "1", "--design-sizes", "a,b",
                      "--output", out]) == EXIT_CONFIG
 

@@ -94,10 +94,10 @@ class TestValidateGradients:
             assert dev <= 1e-4
 
     def test_corrupt_negative_control_trips(self, monkeypatch):
-        from rootcal import diagnostics
+        from rootcal import engine
 
-        exact = diagnostics.acq_gradient
-        monkeypatch.setattr(diagnostics, "acq_gradient",
+        exact = engine.acq_gradient
+        monkeypatch.setattr(engine, "acq_gradient",
                             lambda *args: exact(*args) + 1.0)
         report = validate_gradients(3, RngStream(2))
         assert all(dev > 1e-4 for dev in report.values())

@@ -3,13 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from rootcal.acquisition import AcqKind, Family, Mode
+from rootcal.acquisition import AcqKind, Family, Incumbent, Mode, acq_gradient, acq_value
 from rootcal.core import ParameterBox, RngStream
-from rootcal.diagnostics import validate_gradients
+from rootcal.diagnostics import ALL_ACQ_KINDS, validate_gradients
 from rootcal.engine import (
     OBS_KEY,
     RunConfig,
     _active_box,
+    acquisition_objective,
     draw_checked,
     evaluate_point,
     initial_design,
@@ -19,7 +20,7 @@ from rootcal.engine import (
     rootless_table,
     run_calibration,
 )
-from rootcal.metamodel import model_at
+from rootcal.metamodel import STD_FLOOR, model_at, posterior, posterior_grad
 from rootcal.rss import rss_stochastic
 from rootcal.simulators import RootlessQuadratic, SimulationModel, make_model
 
@@ -435,6 +436,51 @@ class TestMacroSweep:
         monkeypatch.setattr(engine, "run_calibration", fail_rep1)
         with pytest.raises(RuntimeError, match="root-ei-sk-rss/rep1: boom"):
             macro_sweep("rootless", {"eps": 0.5}, self._configs(), 2)
+
+    def test_configs_sharing_a_label_raise_before_any_run(self, monkeypatch):
+        # RunConfig.label omits kappa: these two would be merged into one method's rows
+        from rootcal import engine
+
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(engine, "_run_one", no_run)
+        cfgs = [_config(stochastic=False, acq=AcqKind(Family.LCB, Mode.MIN, kappa),
+                        use_rss=False) for kappa in (1.0, 3.0)]
+        with pytest.raises(ValueError,
+                           match="^methods must be distinct: 2 are labeled min-lcb-krig$"):
+            macro_sweep("himmelblau2d", None, cfgs, 2)
+
+
+class TestAcquisitionObjective:
+    """The objective the loop hands to `optimize`, against the acquisition module's
+    value and its gradient assembled without the partials `acq_value` leaves."""
+
+    INC = Incumbent(index=2, value=0.3)
+
+    @pytest.mark.parametrize("kind", ALL_ACQ_KINDS)
+    def test_value_and_gradient_match_bytes(self, kind):
+        rng = np.random.default_rng(4)
+        box = ParameterBox([-1.0, 0.0], [1.0, 2.0])
+        model = model_at(box, box.from_unit(rng.random((6, 2))), rng.normal(size=6),
+                         np.full(6, 0.01), 0.4)
+        objective = acquisition_objective(model, kind, self.INC)
+        for theta in box.from_unit(rng.random((20, 2))):
+            value, gradient = objective(theta)
+            post, grad = posterior_grad(model, theta)
+            expected = acq_value(kind, posterior(model, theta), self.INC)
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+            assert gradient().tobytes() == acq_gradient(kind, post, grad, self.INC).tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_ACQ_KINDS)
+    def test_no_gradient_below_std_floor(self, kind):
+        # one noiseless, unjittered design point: zero posterior variance on it
+        model = model_at(ParameterBox([0.0], [1.0]), [[0.5]], [0.2], [0.0], 0.3, jitter=0.0)
+        post = posterior(model, [0.5])
+        assert post.std < STD_FLOOR
+        value, gradient = acquisition_objective(model, kind, self.INC)(np.array([0.5]))
+        assert gradient is None
+        assert value == acq_value(kind, post, self.INC)
 
 
 class TestRootless:

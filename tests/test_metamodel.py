@@ -22,6 +22,7 @@ from rootcal.metamodel import (
     model_at,
     posterior,
     posterior_grad,
+    posterior_means,
 )
 
 
@@ -64,6 +65,34 @@ class TestPosterior:
         post = posterior(model, [1.0])
         assert abs(post.mean) < 1e-6
         assert post.var == pytest.approx(1.0, abs=1e-6)
+
+
+class TestPosteriorMeans:
+    """Posterior means over many points at once, in one kernel matrix."""
+
+    def _model_and_thetas(self):
+        box = ParameterBox([-1.0, 2.0], [1.0, 5.0])
+        _, design, targets, noise = _random_problem(3, noise_scale=0.05)
+        model = model_at(box, box.from_unit(design), targets, noise, lengthscale=0.3)
+        return model, box.from_unit(np.random.default_rng(4).random((25, 2)))
+
+    def test_same_bytes_as_one_kernel_matrix(self):
+        model, thetas = self._model_and_thetas()
+        expected = kernel_matrix(model.box.to_unit(thetas), model.unit_design,
+                                 model.lengthscale) @ model.alpha
+        assert posterior_means(model, thetas).tobytes() == expected.tobytes()
+
+    def test_agrees_with_posterior(self):
+        model, thetas = self._model_and_thetas()
+        for theta, mean in zip(thetas, posterior_means(model, thetas)):
+            assert abs(mean - posterior(model, theta).mean) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        model, thetas = self._model_and_thetas()
+        thetas[7, 1] = bad
+        with pytest.raises(ValueError, match="^thetas must be finite"):
+            posterior_means(model, thetas)
 
 
 class TestLogMarginalLikelihood:
