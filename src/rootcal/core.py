@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +51,26 @@ class ParameterBox:
     def dim(self) -> int:
         return self.lower.size
 
+    def point(self, theta, name: str = "point") -> np.ndarray:
+        """theta as a finite (dim,) float array, a scalar on one axis; else ValueError naming it."""
+        x = np.asarray(theta, dtype=float)
+        if x.shape != self.lower.shape:
+            if x.ndim or self.dim > 1:
+                raise ValueError(f"{name} {x.tolist()} does not match the box's {self.dim} axes")
+            x = x.reshape(1)
+        if not all(map(math.isfinite, x.tolist())):
+            raise ValueError(f"{name} {x.tolist()} is not finite")
+        return x
+
+    def rows(self, points, name: str) -> np.ndarray:
+        """points as an (n, dim) float array, one point per row; else ValueError naming it."""
+        x = np.asarray(points, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(f"{name} of shape {x.shape} is not (n, {self.dim}), one row per point")
+        return x
+
     def contains(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self.lower.shape and (theta.ndim or self.dim > 1):
-            raise ValueError(f"point {theta.tolist()} does not match the box's {self.dim} axes")
+        theta = self.point(theta)
         return bool(np.all(theta >= self.lower - CONTAINS_ATOL)
                     and np.all(theta <= self.upper + CONTAINS_ATOL))
 

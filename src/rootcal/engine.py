@@ -83,7 +83,8 @@ class RunConfig:
 
     @property
     def label(self) -> str:
-        parts = [self.acq.mode.value, self.acq.family.value,
+        kappa = "" if self.acq.kappa in (None, 1.0) else f"-kappa{float(self.acq.kappa)!r}"
+        parts = [self.acq.mode.value, self.acq.family.value + kappa,
                  "sk" if self.stochastic else "krig"]
         if self.use_rss:
             parts.append("rss")
@@ -131,12 +132,8 @@ def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
 def draw_checked(model: SimulationModel, theta, gen, reps: int) -> np.ndarray:
     """`model.draw(theta, gen, reps)`, rejecting a theta of the wrong length,
     non-finite or out of the box before drawing and a non-finite draw after."""
-    point = np.atleast_1d(np.asarray(theta, dtype=float))
+    point = model.box.point(theta, f"{type(model).__name__}: theta")
     where = f"{type(model).__name__}: theta {point.tolist()}"
-    if point.shape != (model.box.dim,):
-        raise ValueError(f"{where} does not match the model's {model.box.dim} axes")
-    if not np.all(np.isfinite(point)):
-        raise ValueError(f"{where} is not finite")
     if not model.box.contains(point):
         raise ValueError(f"{where} is outside the box "
                          f"[{model.box.lower.tolist()}, {model.box.upper.tolist()}]")

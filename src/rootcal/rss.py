@@ -35,7 +35,9 @@ def _smallest_pair(design, weight, what: str) -> Subregion | None:
     the pair is not a candidate.  It is built from one of `what` per design
     point, and ValueError names both counts when they differ.
     """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
+    design = np.asarray(design, dtype=float)
+    if design.ndim != 2:
+        raise ValueError(f"design of shape {design.shape} is not 2-D, one row per point")
     if len(weight) != len(design):
         raise ValueError(f"{len(weight)} {what} for {len(design)} design points")
     a, b = np.nonzero(np.triu(weight < np.inf, 1))  # the candidates, in (a, b) order

@@ -398,10 +398,10 @@ class TestSweep:
         assert main(["sweep", _write(tmp_path, cfg)]) == EXIT_CONFIG
 
     def test_methods_sharing_a_label_rejected_naming_it(self, tmp_path, capsys):
-        # RunConfig.label omits kappa, so these two would share rows
+        # two identical methods would share rows
         cfg = self._sweep_config(tmp_path)
         cfg["methods"] = [{"mode": "min", "surrogate": "deterministic", "acq": "lcb",
-                           "rss": False, "kappa": kappa} for kappa in (1.0, 3.0)]
+                           "rss": False} for _ in range(2)]
         assert main(["sweep", _write(tmp_path, cfg)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert ("config error: methods must be distinct: 2 are labeled min-lcb-krig"
@@ -409,6 +409,17 @@ class TestSweep:
         assert captured.out == ""
         assert not (tmp_path / "long.csv").exists()
         assert not (tmp_path / "agg.csv").exists()
+
+    def test_lcb_at_two_kappas_writes_two_methods_rows(self, tmp_path):
+        # the label names a kappa other than the default, so the two are not merged
+        cfg = self._sweep_config(tmp_path)
+        cfg["methods"] = [{"mode": "min", "surrogate": "deterministic", "acq": "lcb",
+                           "rss": False, "kappa": kappa} for kappa in (1, 3)]
+        assert main(["sweep", _write(tmp_path, cfg)]) == EXIT_OK
+        with open(cfg["output"]["long"]) as fh:
+            methods = [row["method"] for row in csv.DictReader(fh)]
+        assert sorted(set(methods)) == ["min-lcb-kappa3.0-krig", "min-lcb-krig"]
+        assert all(methods.count(m) == 2 * (BUDGET + 1) for m in set(methods))
 
     @pytest.mark.parametrize("workers", ["abc", "0", "-3", "1.5", ""])
     def test_rejects_bad_worker_count_before_running(self, tmp_path, monkeypatch, capsys,

@@ -13,6 +13,9 @@ from rootcal.core import (
     aggregate_squared,
     summarize,
 )
+from rootcal.engine import draw_checked
+from rootcal.metamodel import model_at, posterior
+from rootcal.simulators import make_model
 
 
 class TestParameterBox:
@@ -81,6 +84,29 @@ class TestParameterBox:
         assert repr(box) == "ParameterBox(lower=array([0.5]), upper=array([2.]))"
         assert box == ParameterBox(np.array([0.5]), [2.0])
         assert box != ParameterBox([0.0], [2.0])
+
+
+class TestOnePointRule:
+    """ParameterBox.point is the one check of a single theta: the box's `contains`, the
+    engine's `draw_checked` and the surrogate's `posterior` reject the same theta with the
+    same message, each naming its own input."""
+
+    @pytest.mark.parametrize("theta, fault", [
+        ([0.5], "[0.5] does not match the box's 2 axes"),
+        ([0.5, 0.5, 0.5], "[0.5, 0.5, 0.5] does not match the box's 2 axes"),
+        ([np.nan, 0.0], "[nan, 0.0] is not finite"),
+        ([0.0, np.inf], "[0.0, inf] is not finite"),
+    ])
+    def test_contains_draw_and_posterior_agree(self, theta, fault):
+        sim = make_model("himmelblau2d", RngStream(0))
+        design = sim.box.from_unit(np.random.default_rng(5).random((4, 2)))
+        model = model_at(sim.box, design, [0.3, -0.2, 0.5, 0.1], np.full(4, 0.01), 0.5)
+        for call, name in ((lambda: sim.box.contains(theta), "point"),
+                           (lambda: draw_checked(sim, theta, RngStream(1).generator(), 2),
+                            "Himmelblau2D: theta"),
+                           (lambda: posterior(model, theta), "theta")):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {fault}')}$"):
+                call()
 
 
 class TestRngStream:

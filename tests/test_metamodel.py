@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -356,6 +357,73 @@ class TestThetaInputs:
         for call in (posterior, posterior_grad):
             with pytest.raises(ValueError, match="theta"):
                 call(model, theta)
+
+
+class TestRowsAndLengths:
+    """A design or query grid is (n, dim), one row per point of the box, and targets and
+    noise_diag hold one value per design point.  Every entry point rejects other shapes
+    with a ValueError naming the input and its shape, where it used to broadcast them or
+    fail inside a solver."""
+
+    BOX = ParameterBox([0.0, -1.0], [1.0, 1.0])
+
+    def _problem(self):
+        rng = np.random.default_rng(30)
+        return self.BOX.from_unit(rng.random((6, 2))), rng.normal(size=6), np.full(6, 0.01)
+
+    def _assert_each_rejects(self, calls, message):
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("columns", [[0], [0, 1, 0]], ids=["one-axis", "three-axes"])
+    def test_design_with_other_axes_rejected_naming_it(self, columns):
+        # one column used to be broadcast onto both axes, three failed to broadcast
+        design, targets, noise = self._problem()
+        bad = design[:, columns]
+        self._assert_each_rejects([lambda: fit(self.BOX, bad, targets, noise),
+                                   lambda: model_at(self.BOX, bad, targets, noise, 0.4)],
+                                  f"design of shape {bad.shape} is not (n, 2)")
+
+    def test_one_dimensional_design_rejected_naming_its_shape(self):
+        # it used to be read as one point of six axes
+        box, design = ParameterBox([0.0], [1.0]), np.linspace(0.1, 0.9, 6)
+        targets, noise = np.sin(6.0 * design), np.full(6, 0.01)
+        self._assert_each_rejects([lambda: fit(box, design, targets, noise),
+                                   lambda: model_at(box, design, targets, noise, 0.4)],
+                                  "design of shape (6,) is not (n, 1)")
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1)])
+    def test_targets_not_one_per_point_rejected_naming_them(self, shape):
+        design, targets, noise = self._problem()
+        bad = np.resize(targets, shape)
+        unit = self.BOX.to_unit(design)
+        self._assert_each_rejects([lambda: fit(self.BOX, design, bad, noise),
+                                   lambda: model_at(self.BOX, design, bad, noise, 0.4),
+                                   lambda: log_marginal_likelihood(unit, bad, noise, 0.4)],
+                                  f"targets of shape {shape} is not one value per design point")
+
+    @pytest.mark.parametrize("thetas", [np.full((5, 1), 1.0), np.array([0.5, 0.5])],
+                             ids=["one-axis", "one-dimensional"])
+    def test_query_grid_with_other_axes_rejected_naming_it(self, thetas):
+        # a (5, 1) grid used to be read as five points (1.0, 1.0)
+        model = model_at(self.BOX, *self._problem(), 0.4)
+        with pytest.raises(ValueError, match=re.escape(f"thetas of shape {thetas.shape}")):
+            posterior_means(model, thetas)
+
+    def test_kernel_matrix_takes_only_rows(self):
+        with pytest.raises(ValueError, match="dimensions") as info:
+            kernel_matrix([0.1, 0.5], [0.1, 0.9], 0.3)
+        assert "(2,)" in str(info.value)
+
+    def test_negative_jitter_rejected_by_model_at_and_lml_alike(self):
+        # the log marginal likelihood used to reduce the diagonal by it
+        design, targets, noise = self._problem()
+        unit = self.BOX.to_unit(design)
+        self._assert_each_rejects(
+            [lambda: model_at(self.BOX, design, targets, noise, 0.3, -1e-3),
+             lambda: log_marginal_likelihood(unit, targets, noise, 0.3, -1e-3)],
+            "jitter must be non-negative, got -0.001")
 
 
 def _spd(rng, n):

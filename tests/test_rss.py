@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -47,6 +49,14 @@ class TestDeterministic:
         design = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match=f"{len(values)} signed values for 3 design points"):
             rss_deterministic(design, values)
+
+    def test_one_dimensional_design_rejected_naming_its_shape(self):
+        # it used to be read as one point, against three values
+        posts = [Posterior(mean=m, var=0.01) for m in (1.0, -1.0, 2.0)]
+        for call in (lambda: rss_deterministic([0.1, 0.5, 0.9], [1.0, -1.0, 2.0]),
+                     lambda: rss_stochastic([0.1, 0.5, 0.9], posts, 0.5)):
+            with pytest.raises(ValueError, match=re.escape("design of shape (3,) is not 2-D")):
+                call()
 
 
 class TestSignChangeProb:
