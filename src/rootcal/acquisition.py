@@ -5,8 +5,8 @@ flavor that targets close-to-zero predictions symmetrically in sign; the six
 are the `AcqKind`s of `acq_value` and `acq_gradient`.  Each PI and EI value
 and its two partials in the posterior mean and std come from one set of
 terms, and the gradient chains the partials through `dmean` and `dstd`.
-Below the degeneracy floor on the posterior std every value switches to its
-noiseless limit form, and a gradient there raises ValueError.
+At a degenerate posterior (``Posterior.degenerate``) every value switches to
+its noiseless limit form, and a gradient there raises ValueError.
 """
 
 from __future__ import annotations
@@ -107,16 +107,16 @@ def select_incumbent(model: GpModel, mode: Mode, posts=None) -> Incumbent:
     return Incumbent(index=idx, value=float(values[idx]))
 
 
-def _pi_ei(kind: AcqKind, mu: float, sigma: float, inc: Incumbent | None):
+def _pi_ei(kind: AcqKind, post: Posterior, inc: Incumbent | None):
     """PI's or EI's value and its partials (a_mu, a_sigma) in the posterior mean
-    and std, all from one set of terms; below STD_FLOOR, the noiseless-limit
-    value and None."""
+    and std, all from one set of terms; at a degenerate posterior, the
+    noiseless-limit value and None."""
     if inc is None:
         raise ValueError("PI/EI need an incumbent")
-    is_pi = kind.family is _PI
+    is_pi, mu, sigma = kind.family is _PI, post.mean, post.std
     if kind.mode is not _ROOT:
         v = inc.value
-        if sigma < STD_FLOOR:
+        if post.degenerate:
             return (1.0 if mu < v else 0.0) if is_pi else max(0.0, v - mu), None
         gap = v - mu
         z = gap / sigma
@@ -125,7 +125,7 @@ def _pi_ei(kind: AcqKind, mu: float, sigma: float, inc: Incumbent | None):
             return P, (-p / sigma, -z * p / sigma)
         return gap * P + sigma * p, (-P, p)
     av = abs(inc.value)
-    if sigma < STD_FLOOR:
+    if post.degenerate:
         return (1.0 if abs(mu) < av else 0.0) if is_pi else max(0.0, av - abs(mu)), None
     z_lo, z_hi = (-av - mu) / sigma, (av - mu) / sigma
     P_lo, P_hi = float(ndtr(z_lo)), float(ndtr(z_hi))
@@ -141,7 +141,7 @@ def _pi_ei(kind: AcqKind, mu: float, sigma: float, inc: Incumbent | None):
 def acq_value(kind: AcqKind, post: Posterior, inc: Incumbent | None) -> float:
     if kind.family is _LCB:
         return (abs(post.mean) if kind.mode is _ROOT else post.mean) - kind.kappa * post.std
-    value, partials = _pi_ei(kind, post.mean, post.std, inc)
+    value, partials = _pi_ei(kind, post, inc)
     if post.query:
         post.query[2][0] = (kind, inc, post.mean, post.var, partials)
     return value
@@ -152,15 +152,14 @@ def acq_gradient(kind: AcqKind, post: Posterior, grad: PosteriorGrad,
     """Analytical gradient of the named acquisition w.r.t. theta.  PI and EI reuse
     the partials `acq_value` left on `post` for the same kind and incumbent and the
     same mean and variance objects, so the same bits (`==` also matches -0.0, 0.0)."""
-    mu, sigma = post.mean, post.std
-    if sigma < STD_FLOOR:
-        raise ValueError(f"acquisition gradient undefined at posterior std {sigma} "
+    if post.degenerate:
+        raise ValueError(f"acquisition gradient undefined at posterior std {post.std} "
                          f"below STD_FLOOR {STD_FLOOR}")
     if kind.family is _LCB:
-        return ((np.sign(mu) * grad.dmean if kind.mode is _ROOT else grad.dmean)
+        return ((np.sign(post.mean) * grad.dmean if kind.mode is _ROOT else grad.dmean)
                 - kind.kappa * grad.dstd)
     memo = post.query[2][0] if post.query else None
     fresh = not (memo and memo[0] is kind and memo[1] is inc
                  and memo[2] is post.mean and memo[3] is post.var)
-    a_mu, a_sigma = _pi_ei(kind, mu, sigma, inc)[1] if fresh else memo[4]
+    a_mu, a_sigma = _pi_ei(kind, post, inc)[1] if fresh else memo[4]
     return a_mu * grad.dmean + a_sigma * grad.dstd

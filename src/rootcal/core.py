@@ -13,11 +13,18 @@ __all__ = [
     "ObservationSummary",
     "aggregate_signed",
     "aggregate_squared",
+    "at_least",
     "residual_rows",
     "summarize",
 ]
 
 CONTAINS_ATOL = 1e-12  # ParameterBox.contains tolerance on each bound
+
+
+def at_least(name: str, value, low) -> None:
+    """The count rule: ValueError naming `name` and its value unless value >= low."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)

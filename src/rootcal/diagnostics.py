@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import AcqKind, Family, Incumbent, Mode
-from .core import ParameterBox, RngStream, aggregate_signed, aggregate_squared, residual_rows
+from .core import (ParameterBox, RngStream, aggregate_signed, aggregate_squared, at_least,
+                   residual_rows)
 from .engine import acquisition_objective
 from .metamodel import model_at, posterior
 
@@ -104,8 +105,7 @@ def _fd_gradient(objective, theta, step):
 def validate_gradients(cases: int, rng: RngStream, fd_step: float = 1e-5) -> dict:
     """Max |analytical - central-difference| deviation per acquisition of the gradient of
     `acquisition_objective`, the callable that `optimize` gets.  Deterministic per rng."""
-    if cases < 1:
-        raise ValueError(f"cases must be >= 1, got {cases}")
+    at_least("cases", cases, 1)
     gen = rng.generator()
     worst = {kind: 0.0 for kind in ALL_ACQ_KINDS}
     for _ in range(cases):

@@ -26,9 +26,9 @@ from .acquisition import (
     design_posteriors,
     select_incumbent,
 )
-from .core import ObservationSummary, ParameterBox, RngStream, aggregate_squared, summarize
-from .metamodel import STD_FLOOR, GpModel, fit, posterior, posterior_grad, posterior_means
-from .rss import THETA_FLOOR
+from .core import (ObservationSummary, ParameterBox, RngStream, aggregate_squared, at_least,
+                   summarize)
+from .metamodel import GpModel, fit, posterior, posterior_grad, posterior_means
 from .simulators import RootlessQuadratic, SimulationModel, make_model
 
 __all__ = [
@@ -66,18 +66,13 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p_init < 2:
-            raise ValueError(f"p_init must be >= 2, got {self.p_init}")
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
-        if self.reps_per_point < 1:
-            raise ValueError(f"reps_per_point must be >= 1, got {self.reps_per_point}")
-        if self.post_reps < 2:
-            raise ValueError(f"post_reps must be >= 2, got {self.post_reps}")
+        at_least("p_init", self.p_init, 2)
+        at_least("budget", self.budget, 0)
+        at_least("reps_per_point", self.reps_per_point, 1)
+        at_least("post_reps", self.post_reps, 2)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        at_least("seed", self.seed, 0)
         if self.use_rss and self.acq.mode is not Mode.ROOT:
             raise ValueError(f"rss needs mode root, not {self.acq.mode.value}")
 
@@ -118,8 +113,7 @@ def observation_model(problem: str, problem_params: dict | None, seed: int,
 
 def initial_design(box: ParameterBox, p: int, rng: RngStream) -> list:
     """Latin hypercube sample: p strata per axis, one uniform draw each."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    at_least("p", p, 2)
     gen = rng.generator()
     points = np.empty((p, box.dim))
     for axis in range(box.dim):
@@ -147,16 +141,14 @@ def evaluate_point(model: SimulationModel, theta, reps: int,
                    rng: RngStream) -> ObservationSummary:
     """Draw `reps` independent residual samples at theta from one generator
     and summarize them."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    at_least("reps", reps, 1)
     return summarize(theta, draw_checked(model, theta, rng.generator(), reps))
 
 
 def post_evaluate(model: SimulationModel, theta, post_reps: int,
                   rng: RngStream) -> tuple[float, float]:
     """Fresh estimate of the squared-discrepancy objective with a 95% CI half-width."""
-    if post_reps < 2:
-        raise ValueError(f"post_reps must be >= 2, got {post_reps}")
+    at_least("post_reps", post_reps, 2)
     vals = aggregate_squared(draw_checked(model, theta, rng.generator(), post_reps))
     ci_half = 1.96 * float(vals.std(ddof=1)) / np.sqrt(post_reps)
     return float(vals.mean()), ci_half
@@ -179,27 +171,17 @@ def _active_box(model: GpModel, posts, config: RunConfig, box: ParameterBox) -> 
     """The box to search: with RSS, the bracket of the fitted surrogate's posteriors or targets."""
     if not config.use_rss:
         return box
-    if posts is not None:
-        sub = rss_mod.rss_stochastic(model.design, posts, config.alpha)
-    else:
-        sub = rss_mod.rss_deterministic(model.design, model.targets)
-    if sub is None:
-        return box
-    # degenerate axes (coincident coordinates) keep a positive extent via the floor
-    lo = np.maximum(sub.lo, box.lower)
-    hi = np.minimum(np.maximum(sub.hi, lo + THETA_FLOOR), box.upper)
-    lo = np.minimum(lo, hi - THETA_FLOOR)
-    return ParameterBox(lo, hi)
+    sub = (rss_mod.rss_deterministic(model.design, model.targets) if posts is None
+           else rss_mod.rss_stochastic(model.design, posts, config.alpha))
+    return box if sub is None else sub.within(box)
 
 
 def acquisition_objective(model: GpModel, kind: AcqKind, inc: Incumbent | None):
-    """theta -> (value, gradient callable or None below STD_FLOOR), the surface `optimize`
-    searches; the gradient reuses the posterior's kernel vector and acq_value's partials."""
+    """theta -> (value, gradient callable, or None where the posterior is degenerate), the
+    surface `optimize` searches; the gradient reuses the kernel vector and acq_value's partials."""
     def objective(theta):
         post = posterior(model, theta)
-        if post.std < STD_FLOOR:
-            return acq_value(kind, post, inc), None
-        return acq_value(kind, post, inc), lambda: acq_gradient(
+        return acq_value(kind, post, inc), None if post.degenerate else lambda: acq_gradient(
             kind, post, posterior_grad(model, theta, post)[1], inc)
 
     return objective
@@ -254,8 +236,7 @@ def rootless_differences(eps: float, design_size: int, seed: int,
     against 2 EI - 2 sigma phi(0).  Each design point gets `ROOTLESS_REPS`
     replications.
     """
-    if design_size < 2:
-        raise ValueError(f"design_size must be >= 2, got {design_size}")
+    at_least("design_size", design_size, 2)
     sim = RootlessQuadratic(eps=eps)
     design = np.linspace(-1.0, 1.0, design_size)[:, None]
     base = RngStream(seed).child(rep)
@@ -299,8 +280,7 @@ def rootless_differences(eps: float, design_size: int, seed: int,
 
 def rootless_table(eps: float, design_sizes, seed: int, n_seeds: int = 100):
     """Average the per-seed acquisition gaps over `n_seeds` replications."""
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    at_least("n_seeds", n_seeds, 1)
     rows = []
     for size in design_sizes:
         recs = [rootless_differences(eps, size, seed, rep)
@@ -335,8 +315,7 @@ def macro_sweep(problem: str, problem_params: dict, configs, macro_reps: int,
     A run that raises fails the whole sweep with a RuntimeError naming it, so
     the method comparison is never silently unpaired.
     """
-    if macro_reps < 1:
-        raise ValueError(f"macro_reps must be >= 1, got {macro_reps}")
+    at_least("macro_reps", macro_reps, 1)
     labels = [cfg.label for cfg in configs]
     for label in labels:
         if labels.count(label) > 1:

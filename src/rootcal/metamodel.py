@@ -63,6 +63,11 @@ class Posterior:
     def std(self) -> float:
         return math.sqrt(self.var)
 
+    @property
+    def degenerate(self) -> bool:
+        """std below STD_FLOOR: acquisitions take their noiseless limits and have no gradient."""
+        return math.sqrt(self.var) < STD_FLOOR
+
 
 @dataclass(frozen=True)
 class PosteriorGrad:
@@ -293,14 +298,14 @@ def posterior(model: GpModel, theta) -> Posterior:
 
 def posterior_grad(model: GpModel, theta,
                    post: Posterior | None = None) -> tuple[Posterior, PosteriorGrad | None]:
-    """The posterior at theta and its gradient, or None where std < STD_FLOOR.
+    """The posterior at theta and its gradient, or None where it is degenerate.
 
     A `post` that ``posterior(model, theta)`` returned lends its kernel
     vector, so the gradient costs no second query.
     """
     if post is None:
         post = posterior(model, theta)
-    if post.std < STD_FLOOR:
+    if post.degenerate:
         return post, None
     diff, kvec, _ = post.query
     # Jacobian of the kernel vector in unit coordinates, (m_theta, n)

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .core import ParameterBox
 from .metamodel import STD_FLOOR, Posterior
 
 __all__ = ["Subregion", "THETA_FLOOR", "rss_deterministic", "rss_stochastic", "sign_change_prob"]
 
-THETA_FLOOR = 1e-8  # least extent of a hypervolume axis, here and in the engine's active box
+THETA_FLOOR = 1e-8  # least extent of a hypervolume axis and of a searched box's axis
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,13 @@ class Subregion:
     hi: np.ndarray
     volume: float
     pair: tuple
+
+    def within(self, box: ParameterBox) -> ParameterBox:
+        """This subregion clipped to `box`, every axis at least THETA_FLOOR wide."""
+        lo = np.maximum(self.lo, box.lower)
+        hi = np.minimum(np.maximum(self.hi, lo + THETA_FLOOR), box.upper)
+        lo = np.minimum(lo, hi - THETA_FLOOR)
+        return ParameterBox(lo, hi)
 
 
 def _smallest_pair(design, weight, what: str) -> Subregion | None:
@@ -63,6 +71,7 @@ def _sign_change_probs(posteriors) -> np.ndarray:
     Treats the posteriors as independent normals; a sign change occurs when
     exactly one of the two latent values is negative.
     """
+    # STD_FLOOR floors a divisor here; it is not the degenerate-posterior rule
     q = ndtr(-np.array([p.mean for p in posteriors])
              / np.maximum([p.std for p in posteriors], STD_FLOOR))
     return q[:, None] + q - 2.0 * q[:, None] * q

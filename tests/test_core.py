@@ -11,9 +11,20 @@ from rootcal.core import (
     RngStream,
     aggregate_signed,
     aggregate_squared,
+    at_least,
     summarize,
 )
-from rootcal.engine import draw_checked
+from rootcal.diagnostics import validate_gradients
+from rootcal.engine import (
+    RunConfig,
+    draw_checked,
+    evaluate_point,
+    initial_design,
+    macro_sweep,
+    post_evaluate,
+    rootless_differences,
+    rootless_table,
+)
 from rootcal.metamodel import model_at, posterior
 from rootcal.simulators import make_model
 
@@ -107,6 +118,48 @@ class TestOnePointRule:
                            (lambda: posterior(model, theta), "theta")):
             with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {fault}')}$"):
                 call()
+
+
+def _run_config(**fields):
+    return RunConfig(**{"stochastic": True, "acq": rootcal.AcqKind("ei", "root"),
+                        "use_rss": False, **fields})
+
+
+class TestCountRule:
+    """Every count check in the package is `at_least`, and each keeps its message."""
+
+    SIM = make_model("mm1", RngStream(0))
+    SITES = {
+        "p_init": (lambda: _run_config(p_init=1), "p_init must be >= 2, got 1"),
+        "budget": (lambda: _run_config(budget=-1), "budget must be >= 0, got -1"),
+        "reps_per_point": (lambda: _run_config(reps_per_point=0),
+                           "reps_per_point must be >= 1, got 0"),
+        "run-post_reps": (lambda: _run_config(post_reps=1), "post_reps must be >= 2, got 1"),
+        "seed": (lambda: _run_config(seed=-1), "seed must be >= 0, got -1"),
+        "p": (lambda: initial_design(ParameterBox([0.0], [1.0]), 1, RngStream(0)),
+              "p must be >= 2, got 1"),
+        "reps": (lambda: evaluate_point(TestCountRule.SIM, [5.0], 0, RngStream(0)),
+                 "reps must be >= 1, got 0"),
+        "post_reps": (lambda: post_evaluate(TestCountRule.SIM, [5.0], 1, RngStream(0)),
+                      "post_reps must be >= 2, got 1"),
+        "design_size": (lambda: rootless_differences(1.0, 1, 0), "design_size must be >= 2, got 1"),
+        "n_seeds": (lambda: rootless_table(1.0, [5], 0, n_seeds=0), "n_seeds must be >= 1, got 0"),
+        "macro_reps": (lambda: macro_sweep("rootless", {"eps": 1.0}, [], 0),
+                       "macro_reps must be >= 1, got 0"),
+        "cases": (lambda: validate_gradients(0, RngStream(0)), "cases must be >= 1, got 0"),
+    }
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_each_site_keeps_its_message(self, site):
+        call, message = self.SITES[site]
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_the_bound_itself_passes(self):
+        assert at_least("n", 2, 2) is None
+        with pytest.raises(ValueError, match=re.escape("n must be >= 2, got 1.5")):
+            at_least("n", 1.5, 2)
 
 
 class TestRngStream:

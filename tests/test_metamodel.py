@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -9,6 +11,8 @@ from scipy.linalg import cho_solve, solve_triangular
 from rootcal.core import ParameterBox
 from rootcal.metamodel import (
     LENGTHSCALE_BOUNDS,
+    STD_FLOOR,
+    Posterior,
     _cho_solve,
     _factor,
     _golden_section,
@@ -94,6 +98,19 @@ class TestPosteriorMeans:
         thetas[7, 1] = bad
         with pytest.raises(ValueError, match="^thetas must be finite"):
             posterior_means(model, thetas)
+
+
+    def test_degenerate_is_std_below_the_floor_and_follows_var(self):
+        floor2 = STD_FLOOR**2
+        for var in (0.0, 0.25 * floor2, np.nextafter(floor2, 0.0), floor2,
+                    np.nextafter(floor2, 1.0), 4.0 * floor2, 0.5):
+            assert Posterior(0.1, float(var)).degenerate is (math.sqrt(var) < STD_FLOOR)
+        box, design, targets, noise = _random_problem(0)
+        model = model_at(box, design, targets, noise, lengthscale=0.5)
+        post = posterior(model, [0.3, 0.7])
+        assert not post.degenerate and posterior_grad(model, [0.3, 0.7], post)[1] is not None
+        flat = dataclasses.replace(post, var=0.0)  # a replaced var is what the rule reads
+        assert flat.degenerate and posterior_grad(model, [0.3, 0.7], flat)[1] is None
 
 
 class TestLogMarginalLikelihood:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from rootcal.core import ParameterBox
 from rootcal.metamodel import STD_FLOOR, Posterior
 from rootcal.rss import (
     THETA_FLOOR,
@@ -57,6 +58,26 @@ class TestDeterministic:
                      lambda: rss_stochastic([0.1, 0.5, 0.9], posts, 0.5)):
             with pytest.raises(ValueError, match=re.escape("design of shape (3,) is not 2-D")):
                 call()
+
+
+class TestWithin:
+    """The box a subregion gives the search: clipped to the full box, and every
+    axis at least THETA_FLOOR wide where the pair shares a coordinate."""
+
+    BOX = ParameterBox([0.0, 0.0], [1.0, 1.0])
+
+    def _within(self, design):
+        box = rss_deterministic(design, [1.0, -1.0]).within(self.BOX)
+        return box.lower.tolist(), box.upper.tolist()
+
+    def test_an_inner_pair_is_its_own_box(self):
+        assert self._within([[0.6, 0.9], [0.2, 0.3]]) == ([0.2, 0.3], [0.6, 0.9])
+
+    def test_a_shared_coordinate_keeps_the_floor(self):
+        assert self._within([[0.2, 0.5], [0.6, 0.5]]) == ([0.2, 0.5], [0.6, 0.5 + THETA_FLOOR])
+
+    def test_a_shared_coordinate_on_the_upper_bound_extends_down(self):
+        assert self._within([[0.2, 1.0], [0.6, 1.0]]) == ([0.2, 1.0 - THETA_FLOOR], [0.6, 1.0])
 
 
 class TestSignChangeProb:
