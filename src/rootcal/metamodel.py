@@ -42,6 +42,7 @@ __all__ = [
 
 STD_FLOOR = 1e-9
 JITTER = 1e-10  # the fit's base jitter, and the least one escalation adds
+JITTER_CAP = 1e-4  # the largest jitter a model is built with
 
 LENGTHSCALE_BOUNDS = (1e-2, 1e2)
 _GRID = np.geomspace(*LENGTHSCALE_BOUNDS, 50)  # fit's candidate lengthscales
@@ -185,6 +186,8 @@ def log_marginal_likelihood(unit_design, targets, noise_diag, lengthscale,
                             jitter: float = JITTER) -> float:
     """-1/2 f'(K+S)^-1 f - 1/2 log det(K+S) - n/2 log 2pi; -inf if not PD."""
     unit_design = _finite("unit_design", unit_design)
+    if unit_design.ndim != 2:
+        raise ValueError(f"unit_design of shape {unit_design.shape} is not 2-D, one row per point")
     n = len(unit_design)
     targets, noise_diag = _finite("targets", targets, n), _finite("noise_diag", noise_diag, n)
     return _lml(_factor(_system(unit_design, noise_diag, lengthscale, jitter)), targets)
@@ -257,7 +260,7 @@ def fit(box: ParameterBox, design, targets, noise_diag=None) -> GpModel:
 
 def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
              jitter: float = JITTER) -> GpModel:
-    """Build a model at a fixed lengthscale, escalating jitter x10 up to 1e-4."""
+    """Build a model at a fixed lengthscale, escalating jitter x10 up to JITTER_CAP."""
     design = _finite("design", box.rows(design, "design"))
     n = design.shape[0]
     return _model(box, design, _finite("targets", targets, n), _finite("noise_diag", noise_diag, n),
@@ -266,13 +269,15 @@ def model_at(box: ParameterBox, design, targets, noise_diag, lengthscale,
 
 def _model(box, design, targets, noise_diag, unit, lengthscale, jitter) -> GpModel:
     """model_at on inputs checked but jitter, which _system checks; unit = box.to_unit(design)."""
-    while not jitter > 1e-4:  # a NaN start too, for _system to reject
+    start = jitter
+    while not jitter > JITTER_CAP:  # a NaN start too, for _system to reject
         L = _factor(_system(unit, noise_diag, lengthscale, jitter))
         if L is not None:
             break
         jitter = max(10.0 * jitter, JITTER)  # a zero start escalates too
     else:
-        raise ModelFitError("kernel system not positive definite after jitter escalation")
+        raise ModelFitError(f"no jitter from {start} up to the cap {JITTER_CAP} made the kernel "
+                            "system positive definite")
     inv_width, l2, chol_f = 1.0 / box.width, lengthscale**2, np.asfortranarray(L)
     return GpModel(box, design, targets, noise_diag, lengthscale, jitter, unit,
                    L, _cho_solve(chol_f, targets), chol_f, inv_width,

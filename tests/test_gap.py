@@ -7,6 +7,9 @@ covariances taken across j, the root of the signed aggregate is
 ``theta_* = mean(a c) / mean(a^2)``, and their gap is
 ``(mean(c) var(a) - mean(a) cov(a, c)) / (mean(a) mean(a^2))``.  It is zero
 when the slopes are equal, but it need not widen as they spread.
+
+On a toy whose gap is a quarter of its box, the closed loop is asked to recommend
+theta_r in root mode and theta_* in min mode.
 """
 
 from dataclasses import dataclass
@@ -15,9 +18,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+from rootcal.acquisition import AcqKind, Family, Mode
 from rootcal.core import ParameterBox, RngStream, aggregate_signed, aggregate_squared
 from rootcal.diagnostics import chain_check
-from rootcal.engine import draw_checked
+from rootcal.engine import RunConfig, draw_checked, run_calibration
 from rootcal.rss import rss_deterministic
 from rootcal.simulators import SimulationModel
 
@@ -120,3 +124,37 @@ def test_deterministic_rss_brackets_the_root_not_the_minimiser():
     assert not sub.lo[0] <= toy.minimiser <= sub.hi[0]
     assert rss_deterministic(design, [aggregate_squared(toy.discrepancy(t)) for (t,) in design]) \
         is None
+
+
+@dataclass(frozen=True)
+class NarrowLinearGaussian(LinearGaussian):
+    box = ParameterBox([-1.0], [2.0])
+
+
+# theta_r = 1 and theta_* = 2 / 8.125: a gap of 0.75 on a box 3 wide
+SEPARATED = NarrowLinearGaussian((0.5, 4.0), (4.0, 0.5), 0.5)
+NEAR = 0.15  # a fifth of the gap
+MACRO_REPS = 10  # stream ids 0-9 at seed 0
+SHARE = 8  # of MACRO_REPS, the least that must recommend within NEAR of their own target
+
+
+@pytest.mark.parametrize("acq, use_rss, target", [
+    (AcqKind(Family.EI, Mode.ROOT), True, "root"),
+    pytest.param(AcqKind(Family.EI, Mode.MIN), False, "minimiser", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="min-ei-sk recommends within 0.15 of theta_* in 3 of 10 macro reps, and within "
+               "0.05 of the box's lower bound -1 in 6; none lies near theta_r")),
+], ids=["root-ei-sk-rss", "min-ei-sk"])
+def test_closed_loop_recommends_its_own_target(acq, use_rss, target):
+    """At the paper protocol (2 initial points, budget 10, 10 replications per point),
+    the loop's final recommendation lies within NEAR of theta_r in root mode and of
+    theta_* in min mode, in at least SHARE of MACRO_REPS macro reps.  This runs through
+    the surrogate as it is: its targets are not standardised."""
+    toy = SEPARATED
+    assert (toy.root, toy.minimiser) == (1.0, pytest.approx(2.0 / 8.125, abs=1e-15))
+    assert abs(toy.gap) > 5 * NEAR
+    config = RunConfig(stochastic=True, acq=acq, use_rss=use_rss, seed=0)
+    recommended = [float(run_calibration(toy, config, r).records[-1].recommended[0])
+                   for r in range(MACRO_REPS)]
+    near = sum(abs(x - getattr(toy, target)) <= NEAR for x in recommended)
+    assert near >= SHARE, recommended

@@ -12,6 +12,7 @@ from rootcal.core import ParameterBox
 from rootcal.metamodel import (
     LENGTHSCALE_BOUNDS,
     STD_FLOOR,
+    ModelFitError,
     Posterior,
     _cho_solve,
     _factor,
@@ -432,6 +433,31 @@ class TestRowsAndLengths:
         with pytest.raises(ValueError, match="dimensions") as info:
             kernel_matrix([0.1, 0.5], [0.1, 0.9], 0.3)
         assert "(2,)" in str(info.value)
+
+    @pytest.mark.parametrize("unit_design", [0.5, [0.1, 0.5, 0.9], [[[0.1]], [[0.9]]]],
+                             ids=["scalar", "one-dimensional", "three-dimensional"])
+    def test_lml_takes_only_rows_of_unit_design(self, unit_design):
+        # a scalar used to raise a bare TypeError, and a 1-D one kernel_matrix's message
+        shape = np.shape(unit_design)
+        with pytest.raises(ValueError, match=re.escape(
+                f"unit_design of shape {shape} is not 2-D, one row per point")):
+            log_marginal_likelihood(unit_design, [1.0, 0.0, 1.0], np.zeros(3), 0.3)
+
+    @pytest.mark.parametrize("jitter", [1e-3, np.inf])
+    def test_jitter_above_the_cap_names_both(self, jitter):
+        # it used to say only "not positive definite after jitter escalation", untried
+        design, targets, noise = self._problem()
+        with pytest.raises(ModelFitError, match=re.escape(
+                f"no jitter from {jitter} up to the cap 0.0001 made the kernel system")):
+            model_at(self.BOX, design, targets, noise, 0.3, jitter)
+
+    def test_escalation_past_the_cap_names_the_start_and_the_cap(self):
+        # a negative noise variance keeps the system indefinite at every jitter
+        design, targets, _ = self._problem()
+        with pytest.raises(ModelFitError, match=re.escape(
+                "no jitter from 1e-10 up to the cap 0.0001 made the kernel system positive "
+                "definite")):
+            model_at(self.BOX, design, targets, np.full(6, -1.0), 0.3)
 
     def test_negative_jitter_rejected_by_model_at_and_lml_alike(self):
         # the log marginal likelihood used to reduce the diagonal by it
