@@ -1,16 +1,26 @@
-"""The test report's header names the OpenBLAS kernel that numpy and scipy loaded.
+"""Pins the OpenBLAS kernel that the byte oracles assume, and names in the test
+report the kernel that numpy and scipy loaded.
 
 OpenBLAS picks a kernel for the CPU when it loads, and the byte oracles (the golden
 digests, ``SURROGATE_ORACLE``, ``FIT_ORACLE``, ``OPTIMIZER_ORACLE`` and the
-acquisition ``ORACLE``) were recorded under its SkylakeX kernel.  Under another
-kernel they can fail with no change to the code, so every test log records which
-kernel each library runs: in the header, or under ``-q``, which hides the header, in
-the closing summary.  It only reads: it prints ``unknown`` where a library or its
-symbol is missing, and it changes no test outcome.
+acquisition ``ORACLE``) depend on it.  They were recorded under its Haswell kernel,
+which needs AVX2 and FMA.  This file sets ``OPENBLAS_CORETYPE`` to that kernel before
+numpy or scipy load, overriding any value exported in the shell, so the oracles hold
+on any x86-64 CPU that has those instructions; what OpenBLAS does when forced to a
+kernel the CPU lacks is untested.  ``test_openblas_core.py`` fails, naming both
+kernels, when either library runs another one.
+
+Every test log records which kernel each library runs: in the header, or under
+``-q``, which hides the header, in the closing summary.  The reader prints
+``unknown`` where a library or its symbol is missing.
 """
 
 import ctypes
+import os
 from pathlib import Path
+
+PINNED_CORE = "Haswell"
+os.environ["OPENBLAS_CORETYPE"] = PINNED_CORE  # before any test module loads numpy or scipy
 
 
 def _corename(package, pattern: str, symbol: str) -> str:
@@ -25,21 +35,25 @@ def _corename(package, pattern: str, symbol: str) -> str:
         return "unknown"
 
 
-def _kernels() -> str:
+def kernels() -> dict:
+    """{"numpy": core, "scipy": core}, the kernel each library's OpenBLAS runs."""
     import numpy
     import scipy
     import scipy.linalg  # noqa: F401  loads scipy's OpenBLAS, as the tests do
 
-    return ("OpenBLAS core: numpy "
-            + _corename(numpy, "libscipy_openblas64_*.so", "scipy_openblas_get_corename64_")
-            + ", scipy "
-            + _corename(scipy, "libscipy_openblas*.so", "scipy_openblas_get_corename"))
+    return {"numpy": _corename(numpy, "libscipy_openblas64_*.so",
+                               "scipy_openblas_get_corename64_"),
+            "scipy": _corename(scipy, "libscipy_openblas*.so", "scipy_openblas_get_corename")}
+
+
+def _report() -> str:
+    return "OpenBLAS core: " + ", ".join(f"{lib} {core}" for lib, core in kernels().items())
 
 
 def pytest_report_header(config):
-    return _kernels()
+    return _report()
 
 
 def pytest_terminal_summary(terminalreporter):
     if terminalreporter.verbosity < 0:  # -q: the header was not shown
-        terminalreporter.write_line(_kernels())
+        terminalreporter.write_line(_report())

@@ -60,38 +60,38 @@ VALIDATE = ["--cases", "30", "--seed", "3"]
 RUN_CASES = [(problem, i) for problem in RUNS for i in range(len(RUNS[problem]))]
 
 GOLDEN = {
-    "run/himmelblau2d/0/trace": "106780dec1df4c9d0f1c7064d346a299b95ec625d7e63bb63072d186e5acbdc0",
-    "run/himmelblau2d/1/trace": "6e06d5d1b5b6f7038b735c36f8274369fe7ccfce8f4f6ee6cde822b5ca1393a0",
-    "run/mm1/0/trace": "dbf8b1923466e4773968bff75fa7ac96fd59dc1076cc087c70489af39ba45efe",
-    "run/mm1/1/trace": "f3ad93884396f6a087b0d202cf67fcfc06071f86651607ef7643aebcc59546d2",
-    "run/mm1/2/trace": "f39157c17515d2585eccc1282589c07a172d5a4d08fca04cdad6448b952a3d03",
-    "run/sir/0/trace": "ec44f7bda9751ef072e6f056c6d7cdb16be178b29057c14e21423a467f22dd00",
-    "run/sir/1/trace": "97deec05b21ab4684f37832885e58eae59d078f234fb376be918a59a5b290368",
-    "run/sir/2/trace": "fb6c093cf64967a29d26e946ca30b3ea7cde68de0ef2a54345c91f995d8e1a75",
-    "run/rootless/0/trace": "126740e18e5ba0890c3026c71bb718fcd518cf8100787a99ec38ecc802524ec6",
-    "run/rootless/1/trace": "89ec9621895152c71b1af6e1354b0004ee4f81a480412acd10a5b0c3f143a8f0",
-    "sweep/long": "605cb98ad2b70776e8aa7c24aa536d732e7d0750c3a8d3649e1d8d82a79c9a54",
-    "sweep/aggregate": "1ade76598ae251939913abbe25aed1720ecc9c75ad22d1f212230d9e7dd017c3",
-    "rootless/0.1": "47fd848af9964f39d7945d04b15a9e229c1858d4f2abeb5047ad6885e2d453f5",
-    "rootless/2.0": "09613825fbb94d237f17486d4a0f5587353fb8e6f4c112412879d56c5d5447a8",
+    "run/himmelblau2d/0/trace": "bfca892f9c18c8b0a80d14a88e11575704afec5935f8f7cf50d1d099073a0a09",
+    "run/himmelblau2d/1/trace": "bbdda9d82eb728c20cb42d084c14a6eaa3a62f8a7a88066be0743d02fa615439",
+    "run/mm1/0/trace": "4ca0b57e5f74a64c6d67b8b8bee949c5238d0d91f959e9f5bfd467f86c43c54d",
+    "run/mm1/1/trace": "3040baa67c1c1657648e766823f630edf93aab7d33aa429627225a324d929606",
+    "run/mm1/2/trace": "e10479f578cbfc0782972a91fe753fa2201a298f438cd823d4a37fdfbd9a992a",
+    "run/sir/0/trace": "4210f85427e929f50b6dab568538d2de643bf7d4307f36e835cc53dc0ed9066b",
+    "run/sir/1/trace": "732d2daab0f57ee640d1aff7faa611abb6f59697e5a95f7129a69737e41d3de8",
+    "run/sir/2/trace": "650bab5e61471369167dcb9eb6436992f970ed87f1713fc38361dfcc63d21bb5",
+    "run/rootless/0/trace": "a166d245906a72471a1cffaceae8a3a8c4bceaffe67474fcf788a89194ee80c1",
+    "run/rootless/1/trace": "3bd15eb79c8dc89c33b7e460879bd44f2a67576614afc13d06aec27326728d50",
+    "sweep/long": "1646c9a190f61bf255a5a4b7f548e0b05c17ffea5467c4d643aed59ffbcc1ce2",
+    "sweep/aggregate": "5afb4713f3f39eaf0b452aae06d7415d5a104e672b9da93d5e0129022be8ce86",
+    "rootless/0.1": "c1edeaf9424a2c3bc3a24d2bb5f5224a53e21339a9ff40610de16c047910afef",
+    "rootless/2.0": "af9a1ccf7bfe5fd6089bd525349a82de813d44ceed50e0679f5891d881ab9dd5",
     "diagnose/mm1": "b5d90486f1b863a330a949cf78b1609929a9b89d8541d579c58a553b57218a69",
     "diagnose/sir": "219df90051da823554de2fdae490403b21806a24b21baf4778781db6f0523fd5",
-    "validate": "f94bb9e60841f9d8f7fceb78b2dc6d39cfbd4c0fb9a5e7d4f40442178111789a",
+    "validate": "f30c81a7700d98f25e069e083484eed70ebf624ffb09d27d68e7c3ff894df669",
 }
 
 # a change to how the loop post-evaluates its recommendation must leave these
 # as they are
 DECISIONS = {
-    "run/himmelblau2d/0/decisions": "f5dcd62abd294d8a24bae7f2b8e40a104b856768f455a4675969def3f7f0dfbe",
-    "run/himmelblau2d/1/decisions": "d1c16cfc03b5b95c3b283a5dead40450aa030ddaa1008f9af38411a281897b60",
-    "run/mm1/0/decisions": "b2e6a75f6c766923a3fbc730527ddab930493ba6ef1d120a4aab3b781ab4ba83",
-    "run/mm1/1/decisions": "f499702f0f04ae734411c648471a3257c9ec17c1e1c5b570e2348460f9d147a7",
-    "run/mm1/2/decisions": "99218850eda08e93e96b1dbf18f9377522982a6f5cd4b6974b807d0c4fd89aac",
-    "run/sir/0/decisions": "cc982624012a3a338f5ad9978a504aee5954a1e5f932f02febbeea1e9e6dde76",
-    "run/sir/1/decisions": "1e6fd5b9079ea6f85fa369d47220eed562bad795d762607e744ce466be5c3294",
-    "run/sir/2/decisions": "cd9a1b9a9ae781ea934f70c1e48536153597f3eb8a1a105f39d00eeaeddcffa7",
-    "run/rootless/0/decisions": "6e0be9211640f5887c7fc6c6aa57343bccb20a3625a2ade8e7ebcc817ca2c87d",
-    "run/rootless/1/decisions": "633c9b071be4133b246db1f2b9be83b20f326bf6e2500f906c2f4a10f0146bcc",
+    "run/himmelblau2d/0/decisions": "f1aaaeed7309a01e82bc4378c23d8c7e040b39c3ac8e97a0393fa1cb2b5c2e2d",
+    "run/himmelblau2d/1/decisions": "1c0bb0c3507f76b34ca57560a5a7d9ce6e56330e517eeafbc8a534cde34629e4",
+    "run/mm1/0/decisions": "aaeced92087ff5be8af2acad639ecc11d99f75b367ea6de2a7af610deb371969",
+    "run/mm1/1/decisions": "0b77c09f338c2be7cf5b7a733041cfb3df49de613915f82c9b07d05e32265407",
+    "run/mm1/2/decisions": "0c59df67c14d46757ef7de595f49fe890f619a70db74a56f3cd0fd1dfc13bd2b",
+    "run/sir/0/decisions": "30a6f0113d3a59e2047d6fd908c32a006ec0bea1fae6ca2844b832cf2034e162",
+    "run/sir/1/decisions": "e6d7b85577a33e401867b59ef4a75535e5f80c487d036e7487c3bb2f5dfbb1a3",
+    "run/sir/2/decisions": "51ab89045de19d9b2a7f21973f62462feec0c285104356b1ae645a61ff4665f2",
+    "run/rootless/0/decisions": "916a372b819351b071dc6e9242bdfb49e61f8dfd47e4e034b100ae5481b7c817",
+    "run/rootless/1/decisions": "89de117efbea494bde073a912addc8b2cae13a3842b97f199093cc7c85518fa5",
 }
 
 
